@@ -28,6 +28,13 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
         raise UsageError(f"--degrees expects comma-separated integers, got {text!r}")
 
 
+def _size_guard(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -171,7 +178,7 @@ def _report(args):
     mode = csp.ALL_EXPONENTS if args.mode == "all" else csp.DIVISORS
     exponents = [args.e] if args.e is not None else None
     return inst, csp.verify(inst, mode, size_guard=args.size_guard,
-                            jobs=args.jobs or 1, exponents=exponents)
+                            exponents=exponents)
 
 
 def _fix_csv(inst, report) -> list[str]:
@@ -285,6 +292,8 @@ def _cmd_batch(args) -> int:
                 isinstance(c, list) and all(isinstance(s, str) for s in c)
                 for c in commands):
             raise ValueError("manifest must be a JSON list of argv lists")
+        if any(c[:1] == ["batch"] for c in commands):
+            raise ValueError("manifest entries may not run batch")
     except (OSError, ValueError) as exc:
         print(f"error: bad manifest: {exc}", file=sys.stderr)
         return 2
@@ -311,10 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=int)
         p.add_argument("--e", type=int)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--size-guard", type=int, dest="size_guard")
+        p.add_argument("--size-guard", type=_size_guard, dest="size_guard")
         if verifyish:
             p.add_argument("--mode", choices=("divisors", "all"), default="divisors")
-            p.add_argument("--jobs", type=int, default=1)
 
     for name, fn in (("enumerate", _cmd_enumerate), ("count", _cmd_count),
                      ("poly", _cmd_poly)):

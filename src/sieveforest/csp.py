@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import maps as _maps
 from . import rotations as _rot
@@ -205,6 +204,9 @@ _DEGREE_FAMILIES = (ByDegrees, LeafRootedDeg, InternalRootedDeg, RootDegree)
 def _guard_limit(family) -> int:
     env = os.environ.get("SIEVE_FOREST_SIZE_GUARD")
     if env is not None:
+        if not env.strip().isdecimal():
+            raise ValueError("SIEVE_FOREST_SIZE_GUARD must be a non-negative "
+                             f"integer, got {env!r}")
         return int(env)
     if isinstance(family, _DEGREE_FAMILIES):
         return 9
@@ -275,8 +277,7 @@ def _row(instance: CspInstance, e: int) -> dict:
 
 
 def verify(instance: CspInstance, mode: str = DIVISORS,
-           size_guard: "int | None" = None, jobs: int = 1,
-           exponents=None) -> VerificationReport:
+           size_guard: "int | None" = None, exponents=None) -> VerificationReport:
     """Triple-check the sieving claim at the requested exponents."""
     check_size_guard(instance.family, size_guard)
     start = time.perf_counter()
@@ -289,11 +290,7 @@ def verify(instance: CspInstance, mode: str = DIVISORS,
         exponents = [0] + [e for e in range(1, m) if m % e == 0]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda e: _row(instance, e), exponents))
-    else:
-        rows = [_row(instance, e) for e in exponents]
+    rows = [_row(instance, e) for e in exponents]
     return VerificationReport(instance.theorem, instance.params, rows,
                               all(r["agree"] for r in rows),
                               time.perf_counter() - start, instance.fallback)

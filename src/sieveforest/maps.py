@@ -18,9 +18,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, gcd
 
-from .trees import _normalize_degrees, catalan
+from .trees import (_as_int, _multinomial, _normalize_degrees,
+                    _single_offset_class, arc_offsets, catalan, cyclic_period,
+                    degree_distribution, degree_solutions, node_degrees,
+                    period_census)
 
 
 class SizeMismatch(ValueError):
@@ -174,24 +177,7 @@ def is_valid_walk_prefix(text: str) -> bool:
 
 def _btree_stats(word: str) -> tuple[int, ...]:
     """Degree distribution of a b-tree; buds count towards node degrees."""
-    degree = [0]
-    stack = [0]
-    for ch in word:
-        if ch == "(":
-            degree[stack[-1]] += 1
-            degree.append(1)
-            stack.append(len(degree) - 1)
-        elif ch == ")":
-            stack.pop()
-        else:
-            degree[stack[-1]] += 1
-    if len(degree) == 1 and degree[0] == 0:
-        return ()
-    maxdeg = max(degree)
-    dist = [0] * maxdeg
-    for d in degree:
-        dist[d - 1] += 1
-    return tuple(dist)
+    return degree_distribution(node_degrees(word))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -458,23 +444,6 @@ def enumerate_maps(family: MapFamily):
         raise TypeError(f"not a map family: {family!r}")
 
 
-def _multinomial(total: int, parts) -> int:
-    parts = list(parts)
-    if any(p < 0 for p in parts) or sum(parts) != total:
-        return 0
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def _as_int(x) -> int:
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ArithmeticError(f"count formula gave non-integer {x}")
-    return int(x)
-
-
 def _bt_count(b: int, n: int) -> int:
     return _multinomial(2 * n + b, (b, n, n)) // (n + 1)
 
@@ -525,26 +494,36 @@ def _rotate_member(member, steps: int):
     raise TypeError(f"cannot rotate {member!r}")
 
 
+def _period(member) -> int:
+    """Least rotation power fixing the member: the period of its arc offsets."""
+    if isinstance(member, NonCrossingMatching):
+        size = len(member.partner)
+        return cyclic_period("".join([chr((p - i) % size)
+                                      for i, p in enumerate(member.partner)]))
+    return cyclic_period(arc_offsets(member.word))
+
+
 @functools.lru_cache(maxsize=None)
 def _btdeg_census_all(b: int, n: int) -> dict:
     """Period census of BT(b, n) grouped by degree distribution, in one pass."""
-    order = 2 * n + b
-    divs = [p for p in range(1, order + 1) if order % p == 0] or [1]
-    counts: dict = {}
+    groups: dict[tuple[int, ...], list[str]] = {}
     for w in _btree_words(b, n):
-        bt = BTreeWord(w)
-        for p in divs:
-            if rotate_btree(bt, p) == bt:
-                key = _btree_stats(w)
-                counts.setdefault(key, {})
-                counts[key][p] = counts[key].get(p, 0) + 1
-                break
-    return {key: tuple(sorted(percls.items())) for key, percls in counts.items()}
+        groups.setdefault(_btree_stats(w), []).append(w)
+    return {key: period_census(map(BTreeWord, words), _period, _rotate_member)
+            for key, words in groups.items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
-    """Degree distributions (buds included) realized by b-trees with n edges."""
-    return sorted(_btdeg_census_all(b, n))
+    """Degree distributions (buds included) realized by b-trees with n edges.
+
+    These are the solutions of sum(n_i) = n+1, sum(i*n_i) = 2n+b, all
+    realized; with no edges the single node has degree b.
+    """
+    if b < 0 or n < 0:
+        return []
+    if b == n == 0:
+        return [()]
+    return degree_solutions(n + 1, 2 * n + b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,17 +532,7 @@ def _map_period_census(family: MapFamily) -> tuple[tuple[int, int], ...]:
         if not family.feasible() or family.n < 0:
             return ()
         return _btdeg_census_all(family.b, family.n).get(family.degrees, ())
-    order = rotation_order_maps(family)
-    divs = [p for p in range(1, order + 1) if order % p == 0] or [1]
-    counts: dict[int, int] = {}
-    for member in enumerate_maps(family):
-        for p in divs:
-            if _rotate_member(member, p) == member:
-                counts[p] = counts.get(p, 0) + 1
-                break
-        else:
-            raise AssertionError(f"no period for {member}")
-    return tuple(sorted(counts.items()))
+    return period_census(enumerate_maps(family), _period, _rotate_member)
 
 
 def fix_count_maps(family: MapFamily, e: int) -> int:
@@ -592,19 +561,6 @@ def _bt_fix_d(b: int, n: int, d: int) -> int:
     if n % d == 0 and b % d == 0:
         return _multinomial((2 * n + b) // d, (b // d, n // d, n // d))
     return 0
-
-
-def _single_offset_class(degrees, d: int):
-    found = None
-    for i, c in enumerate(degrees, start=1):
-        r = c % d
-        if r == 0:
-            continue
-        if r == 1 and found is None:
-            found = i
-        else:
-            return None
-    return found
 
 
 def _btdeg_fix_d(b: int, degrees: tuple[int, ...], d: int) -> int:

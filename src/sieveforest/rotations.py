@@ -17,12 +17,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 from . import trees
 from .trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
                     InternalRootedDeg, LeafRooted, LeafRootedDeg, PlaneTree,
-                    RootDegree, TreeFamily, shift_root)
+                    RootDegree, TreeFamily, _as_int, _multinomial,
+                    _single_offset_class, shift_root)
 
 
 class IncompatibleKind(ValueError):
@@ -147,24 +148,22 @@ class FixQuery:
     e: int
 
 
-def _divisors(m: int) -> list[int]:
-    return [p for p in range(1, m + 1) if m % p == 0]
-
-
 @functools.lru_cache(maxsize=None)
 def _period_census(family: TreeFamily, kind: RotationKind) -> tuple[tuple[int, int], ...]:
-    """((period, member count), ...) over the family; periods divide the order."""
+    """((period, member count), ...) over the family; periods divide the order.
+
+    A member's ordinary period P is the period of its arc-offset string.  The
+    kind's `order` eligible corners repeat with it, so the least power of the
+    restricted rotation fixing the member is order * P / 2n.
+    """
     order = rotation_order(family, kind)
-    counts: dict[int, int] = {}
-    divs = _divisors(order) if order else [1]
-    for t in trees.enumerate_family(family):
-        for p in divs:
-            if rotate(t, kind, p) == t:
-                counts[p] = counts.get(p, 0) + 1
-                break
-        else:
-            raise AssertionError(f"no period found for {t} under {kind}")
-    return tuple(sorted(counts.items()))
+    size = 2 * family.n
+
+    def period(t: PlaneTree) -> int:
+        return order * trees.cyclic_period(trees.arc_offsets(t.word)) // size if size else 1
+
+    return trees.period_census(trees.enumerate_family(family), period,
+                               lambda t, p: rotate(t, kind, p))
 
 
 def fix_count_bruteforce(query: FixQuery) -> int:
@@ -174,13 +173,6 @@ def fix_count_bruteforce(query: FixQuery) -> int:
     if e == 0:
         return sum(c for _, c in census)
     return sum(c for p, c in census if e % p == 0)
-
-
-def _as_int(x) -> int:
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ArithmeticError(f"fixed-point formula gave non-integer {x}")
-    return int(x)
 
 
 def _comb(a: int, b: int) -> int:
@@ -194,30 +186,6 @@ def _comb(a: int, b: int) -> int:
     if a >= 0:
         return comb(a, b) if b <= a else 0
     return (-1) ** b * comb(b - a - 1, b)
-
-
-def _multinomial(total: int, parts) -> int:
-    parts = list(parts)
-    if any(p < 0 for p in parts) or sum(parts) != total:
-        return 0
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def _single_offset_class(degrees, d: int):
-    """Index l (1-based) with n_l = 1 mod d while all others are 0 mod d, or None."""
-    found = None
-    for i, c in enumerate(degrees, start=1):
-        r = c % d
-        if r == 0:
-            continue
-        if r == 1 and found is None:
-            found = i
-        else:
-            return None
-    return found
 
 
 def _fix_all_trees(n: int, d: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -83,6 +84,54 @@ def matching(word: str) -> tuple[int, ...]:
     return tuple(partner)
 
 
+# Arc class of each opening and closing letter.  Plane-tree and b-tree words
+# use '(' and ')'; tree-rooted map words use E/W for tree edges and N/S for
+# the others.  Any other letter (a bud) belongs to no arc.
+_OPENERS = {"(": 0, "E": 0, "N": 1}
+_CLOSERS = {")": 0, "W": 0, "S": 1}
+
+
+def arc_offsets(word: str) -> str:
+    """One symbol per tour position: chr((partner - position) mod L).
+
+    An N/S arc adds L to keep it apart from E/W arcs; a bud gets chr(0).
+    Moving every arc endpoint by s, which re-roots the word, shifts this
+    string cyclically by s.
+    """
+    size = len(word)
+    out = [0] * size
+    stacks: tuple[list[int], list[int]] = ([], [])
+    for i, ch in enumerate(word):
+        if ch in _OPENERS:
+            stacks[_OPENERS[ch]].append(i)
+        elif ch in _CLOSERS:
+            cls = _CLOSERS[ch]
+            j = stacks[cls].pop()
+            out[j] = i - j + cls * size
+            out[i] = size - (i - j) + cls * size
+    return "".join(map(chr, out))
+
+
+def cyclic_period(symbols: str) -> int:
+    """Least p >= 1 whose cyclic shift fixes `symbols`; it divides the length."""
+    return (symbols + symbols).find(symbols, 1) if symbols else 1
+
+
+def period_census(members, period, rotate) -> tuple[tuple[int, int], ...]:
+    """((period, member count), ...) sorted by period.
+
+    `period(m)` reads a member's least fixing rotation power off its arc
+    offsets; `rotate(m, p) == m` confirms it by one literal rotation.
+    """
+    counts: dict[int, int] = {}
+    for m in members:
+        p = period(m)
+        if rotate(m, p) != m:
+            raise AssertionError(f"{m} is not fixed by its period {p}")
+        counts[p] = counts.get(p, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def shift_root(word: str, steps: int) -> str:
     """Move every arc endpoint of the edge matching by +steps (mod 2n).
 
@@ -149,15 +198,41 @@ class TreeStats:
     corners: int
 
 
-def stats(tree: PlaneTree) -> TreeStats:
-    p = _Parse(tree.word)
-    if p.node_count == 1:
-        return TreeStats(0, 0, (), 0, 0)
-    maxdeg = max(p.degree)
-    dist = [0] * maxdeg
-    for d in p.degree:
+def node_degrees(word: str) -> list[int]:
+    """Degree of every node, root first, in order of first arrival.
+
+    A letter other than '(' and ')' is a bud and adds one to its node.
+    """
+    degree = [0]
+    stack = [0]
+    for ch in word:
+        if ch == "(":
+            degree[stack[-1]] += 1
+            degree.append(1)
+            stack.append(len(degree) - 1)
+        elif ch == ")":
+            stack.pop()
+        else:
+            degree[stack[-1]] += 1
+    return degree
+
+
+def degree_distribution(degree: list[int]) -> tuple[int, ...]:
+    """(n_1, n_2, ...): how many nodes have each degree; () for a bare node."""
+    if degree == [0]:
+        return ()
+    dist = [0] * max(degree)
+    for d in degree:
         dist[d - 1] += 1
-    return TreeStats(tree.n, dist[0], tuple(dist), p.degree[0], 2 * tree.n)
+    return tuple(dist)
+
+
+def stats(tree: PlaneTree) -> TreeStats:
+    degree = node_degrees(tree.word)
+    if len(degree) == 1:
+        return TreeStats(0, 0, (), 0, 0)
+    dist = degree_distribution(degree)
+    return TreeStats(tree.n, dist[0], dist, degree[0], 2 * tree.n)
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +427,39 @@ def _dyck_words(n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _words_by_stats(n: int) -> dict[TreeStats, tuple[str, ...]]:
+    """The words of _dyck_words(n) grouped by their stats, in one pass;
+    each group keeps lexicographic order."""
+    groups: dict[TreeStats, list[str]] = {}
+    for word in _dyck_words(n):
+        groups.setdefault(stats(PlaneTree(word)), []).append(word)
+    return {st: tuple(words) for st, words in groups.items()}
+
+
 def enumerate_family(family: TreeFamily):
     """Every member exactly once, in lexicographic word order."""
     n = family.n
     pred = _member_predicate(family)
+    if isinstance(family, AllTrees):
+        for word in _dyck_words(n):
+            t = PlaneTree(word)
+            if pred(stats(t)):
+                yield t
+        return
     if isinstance(family, (ByDegrees, LeafRootedDeg, InternalRootedDeg, RootDegree)) \
             and not _degrees_feasible(family.degrees):
         return
-    for word in _dyck_words(n):
-        t = PlaneTree(word)
-        if pred(stats(t)):
-            yield t
+    groups = [words for st, words in _words_by_stats(n).items() if pred(st)]
+    words = groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
+    for word in words:
+        yield PlaneTree(word)
 
 
-def _as_int(x: Fraction) -> int:
+def _as_int(x) -> int:
+    x = Fraction(x)
     if x.denominator != 1:
-        raise ArithmeticError(f"count formula gave non-integer {x}")
+        raise ArithmeticError(f"formula gave non-integer {x}")
     return int(x)
 
 
@@ -383,6 +475,20 @@ def _multinomial(total: int, parts) -> int:
     for p in parts:
         out //= factorial(p)
     return out
+
+
+def _single_offset_class(degrees, d: int):
+    """Index l (1-based) with n_l = 1 mod d while all others are 0 mod d, or None."""
+    found = None
+    for i, c in enumerate(degrees, start=1):
+        r = c % d
+        if r == 0:
+            continue
+        if r == 1 and found is None:
+            found = i
+        else:
+            return None
+    return found
 
 
 def closed_count(family: TreeFamily) -> int:
@@ -420,29 +526,35 @@ def closed_count(family: TreeFamily) -> int:
     raise TypeError(f"not a tree family: {family!r}")
 
 
+def degree_solutions(nodes: int, degree_sum: int) -> list[tuple[int, ...]]:
+    """Solutions of sum(n_i) = nodes, sum(i*n_i) = degree_sum with n_i >= 0,
+    trailing zeros dropped, in increasing order."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(deg: int, counts: list[int], nodes_left: int, degsum_left: int) -> None:
+        if nodes_left == 0:
+            if degsum_left == 0:
+                out.append(tuple(counts))
+            return
+        if deg > degsum_left:
+            return
+        for c in range(min(nodes_left, degsum_left // deg) + 1):
+            counts.append(c)
+            rec(deg + 1, counts, nodes_left - c, degsum_left - deg * c)
+            counts.pop()
+
+    rec(1, [], nodes, degree_sum)
+    return out
+
+
 def degree_distributions(n: int):
     """All feasible degree distributions of trees with n edges.
 
     Solutions of sum(n_i) = n+1, sum(i*n_i) = 2n with n_i >= 0; every solution
     is realized by some plane tree.
     """
-    if n < 1:
-        return
-    out: list[tuple[int, ...]] = []
-
-    def rec(deg: int, counts: list[int], nodes_left: int, degsum_left: int) -> None:
-        if deg > n:
-            if nodes_left == 0 and degsum_left == 0:
-                out.append(_normalize_degrees(counts))
-            return
-        max_c = min(nodes_left, degsum_left // deg if deg else nodes_left)
-        for c in range(max_c + 1):
-            counts.append(c)
-            rec(deg + 1, counts, nodes_left - c, degsum_left - deg * c)
-            counts.pop()
-
-    rec(1, [], n + 1, 2 * n)
-    yield from sorted(set(out))
+    if n >= 1:
+        yield from degree_solutions(n + 1, 2 * n)
 
 
 # ---------------------------------------------------------------------------

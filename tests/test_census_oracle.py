@@ -1,0 +1,97 @@
+"""The offset-string period census against a literal divisor-trial census.
+
+The oracle below tries every divisor of the rotation order, smallest first,
+with a literal rotation; the census under test reads each period off the arc
+offsets and rotates once to confirm it.
+"""
+from sieveforest import maps, rotations, trees
+from sieveforest.maps import BT, BTDeg, NCM, TMDeg, TMij, TMn
+from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, degree_kind,
+                                   rotate, rotation_order)
+from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
+                               InternalRootedDeg, LeafRooted, LeafRootedDeg,
+                               PlaneTree, RootDegree, degree_distributions,
+                               enumerate_family, stats)
+
+MAX_N = 7
+
+
+def divisor_trial_census(members, order, rotate_by):
+    divisors = [p for p in range(1, order + 1) if order % p == 0] or [1]
+    counts = {}
+    for m in members:
+        p = next(p for p in divisors if rotate_by(m, p) == m)
+        counts[p] = counts.get(p, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def tree_families(n):
+    """Every tree family at size n, paired with each kind acting on it."""
+    out = [(AllTrees(n), ORDINARY)]
+    for k in range(0, n + 2):
+        out += [(ByLeaves(n, k), ORDINARY),
+                (LeafRooted(n, k), ORDINARY), (LeafRooted(n, k), LEAF),
+                (InternalRooted(n, k), ORDINARY), (InternalRooted(n, k), INTERNAL)]
+    for degrees in degree_distributions(n):
+        out += [(ByDegrees(degrees), ORDINARY),
+                (LeafRootedDeg(degrees), ORDINARY), (LeafRootedDeg(degrees), LEAF),
+                (LeafRootedDeg(degrees), degree_kind(1)),
+                (InternalRootedDeg(degrees), ORDINARY),
+                (InternalRootedDeg(degrees), INTERNAL)]
+        for delta, count in enumerate(degrees, start=1):
+            if count:
+                out += [(RootDegree(degrees, delta), ORDINARY),
+                        (RootDegree(degrees, delta), degree_kind(delta))]
+    return out
+
+
+def test_tree_census_matches_divisor_trial():
+    checked = set()
+    for n in range(0, MAX_N + 1):
+        for family, kind in tree_families(n):
+            members = list(enumerate_family(family))
+            if not members:
+                continue
+            oracle = divisor_trial_census(
+                members, rotation_order(family, kind),
+                lambda t, p: rotate(t, kind, p))
+            assert rotations._period_census(family, kind) == oracle, (family, kind)
+            checked.add((type(family).__name__, kind.name))
+    assert len({name for name, _ in checked}) == 8
+    assert len(checked) == 14
+
+
+def map_families():
+    out = [BT(b, n) for b in range(0, 7) for n in range(0, 5) if b + 2 * n <= 10]
+    out += [BTDeg(b, d) for b in range(0, 6) for n in range(0, 6 - b)
+            for d in maps.btree_degree_distributions(b, n)]
+    out += [TMij(i, j) for i in range(0, 4) for j in range(0, 4 - i)]
+    out += [TMn(n) for n in range(1, 4)]
+    out += [TMDeg(j, d) for j in range(0, 3) for i in range(0, 4 - j)
+            for d in maps.btree_degree_distributions(2 * j, i)]
+    out += [NCM(j) for j in range(0, 7)]
+    return out
+
+
+def test_map_census_matches_divisor_trial():
+    for family in map_families():
+        oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
+                                      maps.rotation_order_maps(family),
+                                      maps._rotate_member)
+        assert maps._map_period_census(family) == oracle, family
+
+
+def test_btree_distributions_are_the_census_keys():
+    for b in range(0, 9):
+        for n in range(0, 9 - b):
+            listed = maps.btree_degree_distributions(b, n)
+            realized = sorted({maps._btree_stats(w) for w in maps._btree_words(b, n)})
+            assert listed == realized == sorted(maps._btdeg_census_all(b, n)), (b, n)
+
+
+def test_enumeration_order_and_membership_unchanged():
+    for n in range(0, MAX_N + 1):
+        for family in {family for family, _ in tree_families(n)}:
+            pred = trees._member_predicate(family)
+            expected = [w for w in trees._dyck_words(n) if pred(stats(PlaneTree(w)))]
+            assert [t.word for t in enumerate_family(family)] == expected, family

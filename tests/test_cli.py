@@ -79,6 +79,24 @@ class TestVerify:
                                       "--size-guard", "11"])
         assert code == 0
 
+    def test_negative_size_guard_is_a_usage_error(self, capsys):
+        for command in (["verify", "--theorem", "ord", "--n", "3"],
+                        ["poly", "--theorem", "ord", "--n", "3"]):
+            code, _, err = capture(capsys, command + ["--size-guard", "-1"])
+            assert code == 2 and "--size-guard" in err
+        code, _, err = capture(capsys, ["verify", "--theorem", "ord", "--n", "3",
+                                        "--size-guard", "ten"])
+        assert code == 2 and "--size-guard" in err
+
+    def test_bad_size_guard_variable_is_a_usage_error(self, capsys, monkeypatch):
+        for value in ("abc", "-3", "2.5"):
+            monkeypatch.setenv("SIEVE_FOREST_SIZE_GUARD", value)
+            code, _, err = capture(capsys, ["verify", "--theorem", "ord", "--n", "3"])
+            assert code == 2 and "SIEVE_FOREST_SIZE_GUARD" in err, value
+        monkeypatch.setenv("SIEVE_FOREST_SIZE_GUARD", "3")
+        assert capture(capsys, ["verify", "--theorem", "ord", "--n", "3"])[0] == 0
+        assert capture(capsys, ["verify", "--theorem", "ord", "--n", "4"])[0] == 2
+
 
 class TestOrbitBiject:
     def test_orbit(self, capsys):
@@ -147,3 +165,13 @@ class TestBatch:
             ["poly", "--theorem", "ord_leaves", "--n", "4", "--k", "1"],
         ]))
         assert capture(capsys, ["batch", str(manifest)])[0] == 1
+
+    def test_manifest_running_batch_is_a_usage_error(self, capsys, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([
+            ["count", "--family", "tm_n", "--n", "2"],
+            ["batch", str(manifest)],
+        ]))
+        code, out, err = capture(capsys, ["batch", str(manifest)])
+        assert code == 2 and "batch" in err and "Traceback" not in err
+        assert out == ""
