@@ -20,7 +20,7 @@ import functools
 from fractions import Fraction
 from math import comb, gcd
 
-from .trees import (_as_int, _multinomial, _normalize_degrees,
+from .trees import (_as_int, _check_sizes, _multinomial, _normalize_degrees,
                     _single_offset_class, arc_offsets, catalan, cyclic_period,
                     degree_distribution, degree_solutions, node_degrees,
                     period_census)
@@ -185,6 +185,9 @@ class BT:
     b: int
     n: int
 
+    def __post_init__(self):
+        _check_sizes(self, "b", "n")
+
     def descriptor(self) -> dict:
         return {"family": "bt", "b": self.b, "n": self.n}
 
@@ -197,6 +200,7 @@ class BTDeg:
     def __init__(self, b: int, degrees):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "degrees", _normalize_degrees(degrees))
+        _check_sizes(self, "b")
 
     @property
     def n(self) -> int:
@@ -217,6 +221,9 @@ class TMij:
     i: int
     j: int
 
+    def __post_init__(self):
+        _check_sizes(self, "i", "j")
+
     @property
     def n(self) -> int:
         return self.i + self.j
@@ -228,6 +235,9 @@ class TMij:
 @dataclasses.dataclass(frozen=True)
 class TMn:
     n: int
+
+    def __post_init__(self):
+        _check_sizes(self, "n")
 
     def descriptor(self) -> dict:
         return {"family": "tm_n", "n": self.n}
@@ -241,6 +251,7 @@ class TMDeg:
     def __init__(self, j: int, degrees):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "degrees", _normalize_degrees(degrees))
+        _check_sizes(self, "j")
 
     @property
     def n(self) -> int:
@@ -254,6 +265,9 @@ class TMDeg:
 @dataclasses.dataclass(frozen=True)
 class NCM:
     j: int
+
+    def __post_init__(self):
+        _check_sizes(self, "j")
 
     def descriptor(self) -> dict:
         return {"family": "ncm", "j": self.j}
@@ -505,12 +519,70 @@ def _period(member) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _btdeg_census_all(b: int, n: int) -> dict:
-    """Period census of BT(b, n) grouped by degree distribution, in one pass."""
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for w in _btree_words(b, n):
-        groups.setdefault(_btree_stats(w), []).append(w)
-    return {key: period_census(map(BTreeWord, words), _period, _rotate_member)
-            for key, words in groups.items()}
+    """Period census of BT(b, n) grouped by degree distribution, in one walk.
+
+    The walk builds the words in `_btree_words` order and carries, for the
+    prefix, the node degrees (a bud adds one) and the arc offsets of
+    `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
+    and L - (i - j) at i; a bud is 0.  A finished word is not parsed again:
+    its period is read off the offsets and confirmed by one literal
+    `rotate_btree`.
+    """
+    if b < 0 or n < 0:
+        return {}
+    size = 2 * n + b
+    letters = [""] * size
+    # Node k >= 1 is the k-th node reached, below the k-th '('.
+    degree = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    opened_at = [0] * (n + 1)  # position of the '(' above each node
+    # one byte per offset; past 255 letters (enumerable only with very few
+    # edges) a str of chr(offset) does the same
+    offsets = bytearray(size) if size < 256 else [0] * size
+    encode = bytes if size < 256 else (lambda o: "".join(map(chr, o)))
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def walk(i: int, opens: int, buds: int, node: int) -> None:
+        """Extend the prefix of length i, which stands at `node`."""
+        if opens == n and buds == b:
+            while node:  # the rest of the word closes every open edge
+                j = opened_at[node]
+                offsets[j] = i - j
+                offsets[i] = size - (i - j)
+                letters[i] = ")"
+                node = parent[node]
+                i += 1
+            word = BTreeWord("".join(letters))
+            p = cyclic_period(encode(offsets))
+            if rotate_btree(word, p) != word:
+                raise AssertionError(f"{word} is not fixed by its period {p}")
+            counts = groups.setdefault(degree_distribution(degree), {})
+            counts[p] = counts.get(p, 0) + 1
+            return
+        if opens < n:
+            child = opens + 1
+            degree[node] += 1
+            degree[child] = 1
+            parent[child] = node
+            opened_at[child] = i
+            letters[i] = "("
+            walk(i + 1, child, buds, child)
+            degree[node] -= 1
+        if node:
+            j = opened_at[node]
+            offsets[j] = i - j
+            offsets[i] = size - (i - j)
+            letters[i] = ")"
+            walk(i + 1, opens, buds, parent[node])
+        if buds < b:
+            degree[node] += 1
+            offsets[i] = 0
+            letters[i] = "b"
+            walk(i + 1, opens, buds + 1, node)
+            degree[node] -= 1
+
+    walk(0, 0, 0, 0)
+    return {key: tuple(sorted(counts.items())) for key, counts in groups.items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
@@ -528,6 +600,12 @@ def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def _map_period_census(family: MapFamily) -> tuple[tuple[int, int], ...]:
+    if isinstance(family, BT):
+        counts: dict[int, int] = {}
+        for census in _btdeg_census_all(family.b, family.n).values():
+            for p, c in census:
+                counts[p] = counts.get(p, 0) + c
+        return tuple(sorted(counts.items()))
     if isinstance(family, BTDeg):
         if not family.feasible() or family.n < 0:
             return ()

@@ -112,7 +112,7 @@ def arc_offsets(word: str) -> str:
     return "".join(map(chr, out))
 
 
-def cyclic_period(symbols: str) -> int:
+def cyclic_period(symbols: str | bytes) -> int:
     """Least p >= 1 whose cyclic shift fixes `symbols`; it divides the length."""
     return (symbols + symbols).find(symbols, 1) if symbols else 1
 
@@ -248,6 +248,15 @@ def _normalize_degrees(degrees) -> tuple[int, ...]:
     return tuple(ds)
 
 
+def _check_sizes(family, *names: str) -> None:
+    """Reject a negative size parameter of a family, naming it."""
+    for name in names:
+        value = getattr(family, name)
+        if value < 0:
+            raise ValueError(f"{type(family).__name__}: {name} must be "
+                             f"non-negative, got {value}")
+
+
 def _degrees_edge_count(degrees: tuple[int, ...]) -> int:
     total = sum(i * c for i, c in enumerate(degrees, start=1))
     return total // 2
@@ -262,6 +271,9 @@ def _degrees_feasible(degrees: tuple[int, ...]) -> bool:
 class AllTrees:
     n: int
 
+    def __post_init__(self):
+        _check_sizes(self, "n")
+
     def descriptor(self) -> dict:
         return {"family": "all_trees", "n": self.n}
 
@@ -270,6 +282,9 @@ class AllTrees:
 class ByLeaves:
     n: int
     k: int
+
+    def __post_init__(self):
+        _check_sizes(self, "n")
 
     def descriptor(self) -> dict:
         return {"family": "by_leaves", "n": self.n, "k": self.k}
@@ -280,6 +295,9 @@ class LeafRooted:
     n: int
     k: int
 
+    def __post_init__(self):
+        _check_sizes(self, "n")
+
     def descriptor(self) -> dict:
         return {"family": "leaf_rooted", "n": self.n, "k": self.k}
 
@@ -288,6 +306,9 @@ class LeafRooted:
 class InternalRooted:
     n: int
     k: int
+
+    def __post_init__(self):
+        _check_sizes(self, "n")
 
     def descriptor(self) -> dict:
         return {"family": "internal_rooted", "n": self.n, "k": self.k}

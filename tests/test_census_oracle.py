@@ -81,6 +81,35 @@ def test_map_census_matches_divisor_trial():
         assert maps._map_period_census(family) == oracle, family
 
 
+def test_btree_walk_census_matches_divisor_trial():
+    """Every group of the one-walk b-tree census, b + n <= 7, against the
+    divisor-trial census of the members of that degree distribution."""
+    for b in range(0, MAX_N + 1):
+        for n in range(0, MAX_N + 1 - b):
+            for degrees, got in maps._btdeg_census_all(b, n).items():
+                # the bare node (b = n = 0) has distribution (), which BTDeg
+                # reads as n = -1; its one member is the empty word of BT(0, 0)
+                family = BTDeg(b, degrees) if b + n else BT(0, 0)
+                oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
+                                              2 * n + b, maps._rotate_member)
+                assert got == oracle, (b, n, degrees)
+            assert maps._map_period_census(BT(b, n)) == divisor_trial_census(
+                list(maps.enumerate_maps(BT(b, n))), 2 * n + b,
+                maps._rotate_member), (b, n)
+    assert maps._btdeg_census_all(0, 0) == {(): ((1, 1),)}
+    assert maps._btdeg_census_all(-1, 2) == {}
+    assert maps._btdeg_census_all(2, -1) == {}
+
+
+def test_btree_walk_past_255_letters_matches_closed_form():
+    family = BT(254, 1)  # 256 letters: the offsets no longer fit in a byte
+    order = maps.rotation_order_maps(family)
+    for e in (0, 1, 2, 64, 128, 255):
+        assert maps.fix_count_maps(family, e) == \
+            maps.fix_count_maps_closed(family, e), e
+    assert maps.fix_count_maps(family, order // 2) == 128
+
+
 def test_btree_distributions_are_the_census_keys():
     for b in range(0, 9):
         for n in range(0, 9 - b):

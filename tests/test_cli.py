@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
-from sieveforest.cli import run
+from hypothesis import given, settings, strategies as st
+
+from sieveforest.cli import FAMILY_NAMES, run
 
 
 def capture(capsys, argv):
@@ -137,6 +141,38 @@ class TestUsageErrors:
         code, _, err = capture(capsys, ["poly", "--theorem", "ord_leaves",
                                         "--n", "4", "--k", "1"])
         assert code == 2
+
+    def test_negative_family_sizes_are_usage_errors(self, capsys):
+        for argv, name in ((["count", "--family", "bt", "--b", "1", "--n", "-1"], "n"),
+                           (["count", "--family", "tm_ij", "--i", "-1", "--j", "0"], "i"),
+                           (["count", "--family", "tm_ij", "--i", "0", "--j", "-1"], "j"),
+                           (["enumerate", "--family", "bt", "--b", "2", "--n", "-1"], "n")):
+            code, out, err = capture(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert f"{name} must be non-negative" in err and "Traceback" not in err
+
+
+INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")
+
+
+# Every family ignores the flags it does not take, so each example passes all
+# integer flags; a missing --degrees is a usage error like a missing flag.
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(("count", "enumerate")),
+       family=st.sampled_from(FAMILY_NAMES),
+       ints=st.tuples(*[st.integers(-3, 8)] * len(INT_FLAGS)),
+       degrees=st.none() | st.lists(st.integers(-3, 8), min_size=1, max_size=4))
+def test_fuzzed_count_and_enumerate_exit_0_or_2(command, family, ints, degrees):
+    argv = [command, "--family", family]
+    for flag, value in zip(INT_FLAGS, ints):
+        argv += [flag, str(value)]
+    if degrees is not None:
+        argv += ["--degrees", ",".join(map(str, degrees))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 class TestBatch:

@@ -143,6 +143,16 @@ class TestCounts:
                     TMDeg(1, (1, 0, 1)), NCM(4)):
             assert map_family_from_descriptor(fam.descriptor()) == fam
 
+    def test_negative_sizes_are_rejected_by_name(self):
+        for make, name in ((lambda: BT(-1, 2), "b"), (lambda: BT(2, -1), "n"),
+                           (lambda: BTDeg(-2, (2, 1)), "b"),
+                           (lambda: TMij(-1, 0), "i"), (lambda: TMij(0, -1), "j"),
+                           (lambda: TMn(-1), "n"), (lambda: TMDeg(-1, (1, 1)), "j"),
+                           (lambda: NCM(-3), "j")):
+            with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+                make()
+        assert closed_count_maps(BT(0, 0)) == closed_count_maps(NCM(0)) == 1
+
 
 class TestFixCounts:
     def test_closed_matches_bruteforce(self):

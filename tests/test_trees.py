@@ -84,6 +84,13 @@ class TestFamilies:
                     RootDegree((2, 2), 2)):
             assert family_from_descriptor(fam.descriptor()) == fam
 
+    def test_negative_edge_count_is_rejected(self):
+        for make in (lambda: AllTrees(-1), lambda: ByLeaves(-1, 2),
+                     lambda: LeafRooted(-2, 2), lambda: InternalRooted(-1, 0)):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                make()
+        assert closed_count(AllTrees(0)) == 1
+
 
 class TestCenter:
     def test_path_centers(self):
