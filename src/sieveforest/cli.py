@@ -12,9 +12,7 @@ import sys
 
 from . import bijections, csp, maps, rotations, trees
 
-FAMILY_NAMES = ("all_trees", "by_leaves", "leaf_rooted", "internal_rooted",
-                "by_degrees", "leaf_rooted_deg", "internal_rooted_deg",
-                "root_degree", "bt", "bt_deg", "tm_ij", "tm_n", "tm_deg", "ncm")
+FAMILY_NAMES = tuple(trees.FAMILIES)
 
 
 class UsageError(Exception):
@@ -41,77 +39,20 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required here")
 
 
+def _params(args, family_cls) -> dict:
+    """The family's parameters from the flags of the same names, all required."""
+    degrees = _parse_degrees(args.degrees) if args.degrees is not None else None
+    names = trees.family_fields(family_cls)
+    _require(args, *names)
+    return {name: degrees if name == "degrees" else getattr(args, name)
+            for name in names}
+
+
 def _build_family(args):
-    name = args.family
-    if name is None:
+    if args.family is None:
         raise UsageError("--family is required")
-    degrees = _parse_degrees(args.degrees) if args.degrees else None
-    try:
-        if name == "all_trees":
-            _require(args, "n")
-            return trees.AllTrees(args.n)
-        if name == "by_leaves":
-            _require(args, "n", "k")
-            return trees.ByLeaves(args.n, args.k)
-        if name == "leaf_rooted":
-            _require(args, "n", "k")
-            return trees.LeafRooted(args.n, args.k)
-        if name == "internal_rooted":
-            _require(args, "n", "k")
-            return trees.InternalRooted(args.n, args.k)
-        if name == "by_degrees":
-            _require(args, "degrees")
-            return trees.ByDegrees(degrees)
-        if name == "leaf_rooted_deg":
-            _require(args, "degrees")
-            return trees.LeafRootedDeg(degrees)
-        if name == "internal_rooted_deg":
-            _require(args, "degrees")
-            return trees.InternalRootedDeg(degrees)
-        if name == "root_degree":
-            _require(args, "degrees", "delta")
-            return trees.RootDegree(degrees, args.delta)
-        if name == "bt":
-            _require(args, "b", "n")
-            return maps.BT(args.b, args.n)
-        if name == "bt_deg":
-            _require(args, "b", "degrees")
-            return maps.BTDeg(args.b, degrees)
-        if name == "tm_ij":
-            _require(args, "i", "j")
-            return maps.TMij(args.i, args.j)
-        if name == "tm_n":
-            _require(args, "n")
-            return maps.TMn(args.n)
-        if name == "tm_deg":
-            _require(args, "j", "degrees")
-            return maps.TMDeg(args.j, degrees)
-        if name == "ncm":
-            _require(args, "j")
-            return maps.NCM(args.j)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    raise UsageError(f"unknown family {name!r}")
-
-
-def _theorem_params(args) -> dict:
-    t = args.theorem
-    if t is None:
-        raise UsageError("--theorem is required")
-    degrees = _parse_degrees(args.degrees) if args.degrees else None
-    need = {"ord": ("n",), "ord_leaves": ("n", "k"), "ext": ("n", "k"),
-            "int": ("n", "k"), "ord_deg": ("degrees",),
-            "delta": ("degrees", "delta"), "int_deg": ("degrees",),
-            "btij": ("b", "n"), "btd": ("b", "degrees"),
-            "tmij": ("i", "j"), "tmn": ("n",), "tmd": ("j", "degrees"),
-            "ncm_rotation": ("j",)}
-    if t not in need:
-        raise UsageError(f"unknown theorem {t!r}")
-    _require(args, *need[t])
-    params = {}
-    for name in need[t]:
-        params[name] = degrees if name == "degrees" else getattr(args, name)
-    return params
+    params = _params(args, trees.FAMILIES[args.family])
+    return trees.family_from_descriptor({**params, "family": args.family})
 
 
 def _member_text(member) -> str:
@@ -159,10 +100,10 @@ def _cmd_count(args) -> int:
 
 
 def _instance(args):
-    try:
-        return csp.build_instance(args.theorem, **_theorem_params(args))
-    except csp.InfeasibleParams as exc:
-        raise UsageError(str(exc))
+    if args.theorem is None:
+        raise UsageError("--theorem is required")
+    params = _params(args, csp.THEOREMS[args.theorem].family)
+    return csp.build_instance(args.theorem, **params)
 
 
 def _cmd_poly(args) -> int:
@@ -275,12 +216,9 @@ def _cmd_biject(args) -> int:
 
 def _cmd_sumcheck(args) -> int:
     _require(args, "identity", "n")
-    which = {"refined_leaves": csp.REFINED_LEAVES,
-             "chu_vandermonde_tm": csp.CHU_VANDERMONDE_TM}.get(args.identity)
-    if which is None:
-        raise UsageError(f"unknown identity {args.identity!r}")
-    ok = csp.check_sum_identity(which, args.n)
-    _emit(args, ["PASS" if ok else "FAIL"], {"identity": which, "n": args.n, "ok": ok})
+    ok = csp.check_sum_identity(args.identity, args.n)
+    _emit(args, ["PASS" if ok else "FAIL"],
+          {"identity": args.identity, "n": args.n, "ok": ok})
     return 0 if ok else 1
 
 
@@ -348,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_biject)
     p = sub.add_parser("sumcheck")
     common(p)
-    p.add_argument("--identity", choices=("refined_leaves", "chu_vandermonde_tm"))
+    p.add_argument("--identity",
+                   choices=(csp.REFINED_LEAVES, csp.CHU_VANDERMONDE_TM))
     p.set_defaults(func=_cmd_sumcheck)
     p = sub.add_parser("batch")
     p.add_argument("manifest")
@@ -367,13 +306,9 @@ def run(argv) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except csp.SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError covers SizeGuardExceeded, InfeasibleParams and the
+        # range checks of the family constructors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 
-from . import maps as _maps
 from . import rotations as _rot
 from . import trees as _trees
 from .maps import (BT, BTDeg, NCM, TMDeg, TMij, TMn, closed_count_maps,
@@ -25,7 +25,7 @@ from .qseries import (NotPolynomial, QPolynomial, QProductExpr,
                       shape_predicates, to_polynomial)
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 from .trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
-                    InternalRootedDeg, LeafRooted, LeafRootedDeg, RootDegree)
+                    InternalRootedDeg, LeafRooted, RootDegree)
 
 
 class InfeasibleParams(ValueError):
@@ -39,8 +39,84 @@ class SizeGuardExceeded(ValueError):
 DIVISORS = "divisors"
 ALL_EXPONENTS = "all"
 
-THEOREM_IDS = ("ord", "ord_leaves", "ext", "int", "ord_deg", "delta",
-               "int_deg", "btij", "btd", "tmij", "tmn", "tmd", "ncm_rotation")
+
+@dataclasses.dataclass(frozen=True)
+class Theorem:
+    """One sieving result.  Its parameters are the family's fields, in
+    order; `feasible(family)` is the range it holds on, and `qproduct(family)`
+    its polynomial as a q-product."""
+    family: type
+    feasible: Callable[[object], bool]
+    qproduct: Callable[[object], QProductExpr]
+
+
+def _leaf_range(f) -> bool:
+    return f.n >= 2 and 2 <= f.k <= f.n
+
+
+def _delta_qproduct(f) -> QProductExpr:
+    ndelta = f.degrees[f.delta - 1]
+    parts = list(f.degrees)
+    parts[f.delta - 1] -= 1
+    return (QProductExpr(num=(f.delta * ndelta,), den=(ndelta, f.n))
+            * q_multinomial(f.n, parts))
+
+
+# The one table of the results: a new theorem is one row.
+THEOREMS = {
+    "ord": Theorem(
+        AllTrees, lambda f: f.n >= 1,
+        lambda f: q_binomial(2 * f.n, f.n) * QProductExpr(den=(f.n + 1,))),
+    "ord_leaves": Theorem(
+        ByLeaves, _leaf_range,
+        lambda f: (QProductExpr(num=(2 * f.n,), den=(f.n, f.n - 1))
+                   * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
+    "ext": Theorem(
+        LeafRooted, _leaf_range,
+        lambda f: (QProductExpr(den=(f.n - 1,))
+                   * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n - 1, f.k - 1))),
+    "int": Theorem(
+        InternalRooted, _leaf_range,
+        lambda f: (QProductExpr(num=(2 * f.n - f.k,), den=(f.n, f.n - 1))
+                   * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
+    "ord_deg": Theorem(
+        ByDegrees, lambda f: f.n >= 1 and _trees.closed_count(f) > 0,
+        lambda f: (QProductExpr(num=(2 * f.n,), den=(f.n, f.n + 1))
+                   * q_multinomial(f.n + 1, f.degrees))),
+    "delta": Theorem(
+        RootDegree, lambda f: f.n >= 1 and _trees.closed_count(f) > 0,
+        _delta_qproduct),
+    "int_deg": Theorem(
+        InternalRootedDeg,
+        lambda f: f.n >= 1 and f.degrees[0] > 0 and _trees.closed_count(f) > 0,
+        lambda f: (QProductExpr(num=(2 * f.n - f.degrees[0],), den=(f.n + 1, f.n))
+                   * q_multinomial(f.n + 1, f.degrees))),
+    "btij": Theorem(
+        BT, lambda f: f.b + f.n > 0,
+        lambda f: (QProductExpr(den=(f.n + 1,))
+                   * q_multinomial(2 * f.n + f.b, (f.b, f.n, f.n)))),
+    "btd": Theorem(
+        BTDeg, lambda f: f.n >= 0 and f.feasible() and closed_count_maps(f) > 0,
+        lambda f: (QProductExpr(num=(2 * f.n + f.b,), den=(f.n + f.b + 1, f.n + f.b))
+                   * q_multinomial(f.n + f.b + 1, (f.b,) + f.degrees))),
+    "tmij": Theorem(
+        TMij, lambda f: f.i + f.j > 0,
+        lambda f: (QProductExpr(den=(f.i + 1, f.j + 1))
+                   * q_multinomial(2 * f.i + 2 * f.j, (f.i, f.i, f.j, f.j)))),
+    "tmn": Theorem(
+        TMn, lambda f: f.n >= 1,
+        lambda f: (q_binomial(2 * f.n, f.n) * q_binomial(2 * f.n + 2, f.n + 1)
+                   * QProductExpr(den=(f.n + 1, f.n + 2)))),
+    "tmd": Theorem(
+        TMDeg, lambda f: f.n >= 1 and closed_count_maps(f) > 0,
+        lambda f: (QProductExpr(num=(2 * f.n,), den=(f.j + 1, f.n + f.j + 1, f.n + f.j))
+                   * q_multinomial(f.n + f.j + 1, (f.j, f.j) + f.degrees))),
+    "ncm_rotation": Theorem(
+        NCM, lambda f: f.j >= 1,
+        lambda f: q_binomial(2 * f.j, f.j) * QProductExpr(den=(f.j + 1,))),
+}
+
+THEOREM_IDS = tuple(THEOREMS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,148 +133,37 @@ class CspInstance:
         return to_polynomial(self.expr)
 
 
-def _degree_list(params) -> tuple[int, ...]:
-    degrees = tuple(params["degrees"])
-    if not degrees or any(c < 0 for c in degrees):
-        raise InfeasibleParams(f"bad degree distribution {degrees}")
-    return degrees
-
-
 def build_instance(theorem: str, **params) -> CspInstance:
     """Construct the (family, rotation, polynomial) triple for one theorem."""
+    spec = THEOREMS.get(theorem)
+    if spec is None:
+        raise InfeasibleParams(f"unknown theorem {theorem!r}")
     try:
-        return _build(theorem, params)
+        family = _trees.family_from_descriptor(
+            {**params, "family": spec.family.name})
+        if not spec.feasible(family):
+            raise InfeasibleParams(f"{theorem} with {params}: outside the "
+                                   "theorem's range")
+        expr = spec.qproduct(family)
     except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, (InfeasibleParams, SizeGuardExceeded)):
+        if isinstance(exc, InfeasibleParams):
             raise
         raise InfeasibleParams(f"{theorem} with {params}: {exc}") from exc
-
-
-def _build(theorem: str, params: dict) -> CspInstance:
-    if theorem == "ord":
-        n = params["n"]
-        if n < 1:
-            raise InfeasibleParams("need n >= 1")
-        fam = AllTrees(n)
-        expr = q_binomial(2 * n, n) * QProductExpr(den=(n + 1,))
-        return _tree_instance(theorem, params, fam, expr)
-    if theorem in ("ord_leaves", "ext", "int"):
-        n, k = params["n"], params["k"]
-        if n < 2 or not 2 <= k <= n:
-            raise InfeasibleParams("need n >= 2 and 2 <= k <= n")
-        if theorem == "ord_leaves":
-            fam = ByLeaves(n, k)
-            expr = (QProductExpr(num=(2 * n,), den=(n, n - 1))
-                    * q_binomial(n - 1, k - 2) * q_binomial(n, k))
-        elif theorem == "ext":
-            fam = LeafRooted(n, k)
-            expr = (QProductExpr(den=(n - 1,))
-                    * q_binomial(n - 1, k - 2) * q_binomial(n - 1, k - 1))
-        else:
-            fam = InternalRooted(n, k)
-            expr = (QProductExpr(num=(2 * n - k,), den=(n, n - 1))
-                    * q_binomial(n - 1, k - 2) * q_binomial(n, k))
-        return _tree_instance(theorem, params, fam, expr)
-    if theorem == "ord_deg":
-        degrees = _degree_list(params)
-        fam = ByDegrees(degrees)
-        n = fam.n
-        if n < 1 or _trees.closed_count(fam) == 0:
-            raise InfeasibleParams(f"empty degree family {degrees}")
-        expr = (QProductExpr(num=(2 * n,), den=(n, n + 1))
-                * q_multinomial(n + 1, degrees))
-        return _tree_instance(theorem, params, fam, expr)
-    if theorem == "delta":
-        degrees, delta = _degree_list(params), params["delta"]
-        fam = RootDegree(degrees, delta)
-        n = fam.n
-        ndelta = degrees[delta - 1] if delta <= len(degrees) else 0
-        if n < 1 or ndelta == 0 or _trees.closed_count(fam) == 0:
-            raise InfeasibleParams(f"empty family: degrees {degrees}, delta {delta}")
-        parts = list(degrees)
-        parts[delta - 1] -= 1
-        expr = (QProductExpr(num=(delta * ndelta,), den=(ndelta, n))
-                * q_multinomial(n, parts))
-        return _tree_instance(theorem, params, fam, expr)
-    if theorem == "int_deg":
-        degrees = _degree_list(params)
-        fam = InternalRootedDeg(degrees)
-        n = fam.n
-        if n < 1 or degrees[0] == 0 or _trees.closed_count(fam) == 0:
-            raise InfeasibleParams(f"empty degree family {degrees}")
-        expr = (QProductExpr(num=(2 * n - degrees[0],), den=(n + 1, n))
-                * q_multinomial(n + 1, degrees))
-        return _tree_instance(theorem, params, fam, expr)
-    if theorem == "btij":
-        b, n = params["b"], params["n"]
-        if b < 0 or n < 0 or b + n == 0:
-            raise InfeasibleParams("need b, n >= 0, not both zero")
-        fam = BT(b, n)
-        expr = QProductExpr(den=(n + 1,)) * q_multinomial(2 * n + b, (b, n, n))
-        return _map_instance(theorem, params, fam, expr)
-    if theorem == "btd":
-        b, degrees = params["b"], _degree_list(params)
-        fam = BTDeg(b, degrees)
-        n = fam.n
-        if n < 0 or not fam.feasible() or closed_count_maps(fam) == 0:
-            raise InfeasibleParams(f"empty b-tree family b={b}, degrees {degrees}")
-        expr = (QProductExpr(num=(2 * n + b,), den=(n + b + 1, n + b))
-                * q_multinomial(n + b + 1, (b,) + degrees))
-        return _map_instance(theorem, params, fam, expr)
-    if theorem == "tmij":
-        i, j = params["i"], params["j"]
-        if i < 0 or j < 0 or i + j == 0:
-            raise InfeasibleParams("need i, j >= 0, not both zero")
-        fam = TMij(i, j)
-        expr = (QProductExpr(den=(i + 1, j + 1))
-                * q_multinomial(2 * i + 2 * j, (i, i, j, j)))
-        return _map_instance(theorem, params, fam, expr)
-    if theorem == "tmn":
-        n = params["n"]
-        if n < 1:
-            raise InfeasibleParams("need n >= 1")
-        fam = TMn(n)
-        expr = (q_binomial(2 * n, n) * q_binomial(2 * n + 2, n + 1)
-                * QProductExpr(den=(n + 1, n + 2)))
-        return _map_instance(theorem, params, fam, expr)
-    if theorem == "tmd":
-        j, degrees = params["j"], _degree_list(params)
-        fam = TMDeg(j, degrees)
-        n = fam.n
-        if n < 1 or closed_count_maps(fam) == 0:
-            raise InfeasibleParams(f"empty map family j={j}, degrees {degrees}")
-        expr = (QProductExpr(num=(2 * n,), den=(j + 1, n + j + 1, n + j))
-                * q_multinomial(n + j + 1, (j, j) + degrees))
-        return _map_instance(theorem, params, fam, expr)
-    if theorem == "ncm_rotation":
-        j = params["j"]
-        if j < 1:
-            raise InfeasibleParams("need j >= 1")
-        fam = NCM(j)
-        expr = q_binomial(2 * j, j) * QProductExpr(den=(j + 1,))
-        return _map_instance(theorem, params, fam, expr)
-    raise InfeasibleParams(f"unknown theorem {theorem!r}")
-
-
-def _tree_instance(theorem, params, fam, expr) -> CspInstance:
-    kind = _rot.family_kind(fam)
-    if theorem in ("ord", "ord_leaves", "ord_deg"):
-        kind = _rot.ORDINARY
-    order = _rot.rotation_order(fam, kind)
-    fallback = fam.n == 1 and isinstance(fam, (ByLeaves, LeafRooted, InternalRooted))
-    return CspInstance(theorem, dict(params), fam, kind, order, expr, fallback)
-
-
-def _map_instance(theorem, params, fam, expr) -> CspInstance:
-    return CspInstance(theorem, dict(params), fam, None,
-                       rotation_order_maps(fam), expr)
+    if isinstance(family, _trees.TreeFamily):
+        kind = _rot.family_kind(family)
+        return CspInstance(theorem, dict(params), family, kind,
+                           _rot.rotation_order(family, kind), expr,
+                           _rot.closed_falls_back(family))
+    return CspInstance(theorem, dict(params), family, None,
+                       rotation_order_maps(family), expr)
 
 
 # ---------------------------------------------------------------------------
 # Size guard
 
-
-_DEGREE_FAMILIES = (ByDegrees, LeafRootedDeg, InternalRootedDeg, RootDegree)
+# Each letter of a member's word is one frame of the recursive enumerating
+# walks, so longer words would overflow the interpreter's recursion limit.
+MAX_WORD_LENGTH = 512
 
 
 def _guard_limit(family) -> int:
@@ -208,29 +173,24 @@ def _guard_limit(family) -> int:
             raise ValueError("SIEVE_FOREST_SIZE_GUARD must be a non-negative "
                              f"integer, got {env!r}")
         return int(env)
-    if isinstance(family, _DEGREE_FAMILIES):
-        return 9
-    if isinstance(family, (BT, BTDeg, TMij, TMn, TMDeg, NCM)):
-        return 5
-    return 10
-
-
-def _guard_size(family) -> int:
-    if isinstance(family, (BT, BTDeg)):
-        # half the word length, comparable to the edge count of a map
-        return (2 * family.n + family.b + 1) // 2
-    if isinstance(family, NCM):
-        return family.j
-    return family.n
+    return family.guard_limit
 
 
 def check_size_guard(family, override: "int | None" = None) -> None:
+    """Refuse a family too large to enumerate at desk scale.  Its size is
+    half its word length (the edge count of a tree or map); words longer
+    than MAX_WORD_LENGTH are refused whatever the guard."""
     limit = override if override is not None else _guard_limit(family)
-    size = _guard_size(family)
+    size = (family.word_length + 1) // 2
     if size > limit:
         raise SizeGuardExceeded(
             f"size {size} of {family} exceeds guard {limit}; "
             f"raise with --size-guard or SIEVE_FOREST_SIZE_GUARD")
+    if family.word_length > MAX_WORD_LENGTH:
+        raise SizeGuardExceeded(
+            f"words of {family} have {family.word_length} letters; the "
+            f"recursive enumeration takes at most {MAX_WORD_LENGTH}, "
+            f"whatever the guard")
 
 
 # ---------------------------------------------------------------------------

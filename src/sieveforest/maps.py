@@ -20,10 +20,10 @@ import functools
 from fractions import Fraction
 from math import comb, gcd
 
-from .trees import (_as_int, _check_sizes, _multinomial, _normalize_degrees,
-                    _single_offset_class, arc_offsets, catalan, cyclic_period,
-                    degree_distribution, degree_solutions, node_degrees,
-                    period_census)
+from .trees import (Family, _as_int, _check_sizes, _multinomial,
+                    _normalize_degrees, _single_offset_class, arc_offsets,
+                    catalan, cyclic_period, degree_distribution,
+                    degree_solutions, node_degrees, period_census)
 
 
 class SizeMismatch(ValueError):
@@ -181,19 +181,20 @@ def _btree_stats(word: str) -> tuple[int, ...]:
 
 
 @dataclasses.dataclass(frozen=True)
-class BT:
+class BT(Family, name="bt", guard=5):
     b: int
     n: int
 
     def __post_init__(self):
         _check_sizes(self, "b", "n")
 
-    def descriptor(self) -> dict:
-        return {"family": "bt", "b": self.b, "n": self.n}
+    @property
+    def word_length(self) -> int:
+        return 2 * self.n + self.b
 
 
 @dataclasses.dataclass(frozen=True, init=False)
-class BTDeg:
+class BTDeg(Family, name="bt_deg", guard=5):
     b: int
     degrees: tuple[int, ...]
 
@@ -207,17 +208,16 @@ class BTDeg:
         """Tree edge count: one less than the node count."""
         return sum(self.degrees) - 1
 
+    word_length = BT.word_length
+
     def feasible(self) -> bool:
         degsum = sum(i * c for i, c in enumerate(self.degrees, start=1))
         return degsum == 2 * self.n + self.b and \
             -self.b + sum((i - 2) * c for i, c in enumerate(self.degrees, start=1)) == -2
 
-    def descriptor(self) -> dict:
-        return {"family": "bt_deg", "b": self.b, "degrees": list(self.degrees)}
-
 
 @dataclasses.dataclass(frozen=True)
-class TMij:
+class TMij(Family, name="tm_ij", guard=5):
     i: int
     j: int
 
@@ -228,23 +228,17 @@ class TMij:
     def n(self) -> int:
         return self.i + self.j
 
-    def descriptor(self) -> dict:
-        return {"family": "tm_ij", "i": self.i, "j": self.j}
-
 
 @dataclasses.dataclass(frozen=True)
-class TMn:
+class TMn(Family, name="tm_n", guard=5):
     n: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
-    def descriptor(self) -> dict:
-        return {"family": "tm_n", "n": self.n}
-
 
 @dataclasses.dataclass(frozen=True, init=False)
-class TMDeg:
+class TMDeg(Family, name="tm_deg", guard=5):
     j: int
     degrees: tuple[int, ...]
 
@@ -258,39 +252,20 @@ class TMDeg:
         """Map edge count: tree edges plus j."""
         return sum(self.degrees) - 1 + self.j
 
-    def descriptor(self) -> dict:
-        return {"family": "tm_deg", "j": self.j, "degrees": list(self.degrees)}
-
 
 @dataclasses.dataclass(frozen=True)
-class NCM:
+class NCM(Family, name="ncm", guard=5):
     j: int
 
     def __post_init__(self):
         _check_sizes(self, "j")
 
-    def descriptor(self) -> dict:
-        return {"family": "ncm", "j": self.j}
+    @property
+    def word_length(self) -> int:
+        return 2 * self.j
 
 
 MapFamily = BT | BTDeg | TMij | TMn | TMDeg | NCM
-
-
-def map_family_from_descriptor(d: dict) -> MapFamily:
-    kind = d["family"]
-    if kind == "bt":
-        return BT(d["b"], d["n"])
-    if kind == "bt_deg":
-        return BTDeg(d["b"], d["degrees"])
-    if kind == "tm_ij":
-        return TMij(d["i"], d["j"])
-    if kind == "tm_n":
-        return TMn(d["n"])
-    if kind == "tm_deg":
-        return TMDeg(d["j"], d["degrees"])
-    if kind == "ncm":
-        return NCM(d["j"])
-    raise ValueError(f"unknown map family {kind!r}")
 
 
 @functools.lru_cache(maxsize=None)

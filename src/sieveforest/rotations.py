@@ -96,34 +96,20 @@ def orbit(tree: PlaneTree, kind: RotationKind) -> list[PlaneTree]:
 
 
 def rotation_order(family: TreeFamily, kind: RotationKind) -> int:
-    """Order of the cyclic group acting on the family."""
-    n = family.n
+    """Order of the cyclic group acting on the family: 2n for the ordinary
+    rotation, else the number of corners of the kind's degree class, which
+    is the same in every member."""
     if kind.name == "ordinary":
         # The ordinary rotation acts on any word; its order is always 2n.
-        return 2 * n
-    if isinstance(family, (AllTrees, ByLeaves, ByDegrees)):
+        return 2 * family.n
+    natural = family_kind(family)
+    if kind != natural and not (kind == LEAF and isinstance(family, LeafRootedDeg)):
         raise IncompatibleKind(f"{kind} does not act on {family}")
-    if isinstance(family, LeafRooted):
-        if kind.name != "leaf":
-            raise IncompatibleKind(f"{kind} does not act on {family}")
-        return family.k
-    if isinstance(family, InternalRooted):
-        if kind.name != "internal":
-            raise IncompatibleKind(f"{kind} does not act on {family}")
-        return 2 * n - family.k
-    if isinstance(family, LeafRootedDeg):
-        if kind.name != "leaf" and not (kind.name == "degree" and kind.delta == 1):
-            raise IncompatibleKind(f"{kind} does not act on {family}")
-        return family.degrees[0]
-    if isinstance(family, InternalRootedDeg):
-        if kind.name != "internal":
-            raise IncompatibleKind(f"{kind} does not act on {family}")
-        return 2 * n - family.degrees[0]
-    if isinstance(family, RootDegree):
-        if kind.name != "degree" or kind.delta != family.delta:
-            raise IncompatibleKind(f"{kind} does not act on {family}")
-        return family.delta * family.degrees[family.delta - 1]
-    raise TypeError(f"not a tree family: {family!r}")
+    if kind.name == "degree":
+        return kind.delta * family.degrees[kind.delta - 1]
+    leaves = family.k if isinstance(family, (LeafRooted, InternalRooted)) \
+        else family.degrees[0]
+    return leaves if kind == LEAF else 2 * family.n - leaves
 
 
 def family_kind(family: TreeFamily) -> RotationKind:
@@ -271,6 +257,12 @@ def _fix_internal_rooted_deg(degrees, n: int, d: int) -> int:
     return 0
 
 
+def closed_falls_back(family: TreeFamily) -> bool:
+    """Whether `fix_count_closed` counts the family by enumeration: the
+    leaf-count formulas have zero denominators at n = 1."""
+    return family.n == 1 and isinstance(family, (ByLeaves, LeafRooted, InternalRooted))
+
+
 def fix_count_closed(query: FixQuery) -> int:
     """Piecewise closed form for the fixed-point count of the e-th power.
 
@@ -284,8 +276,7 @@ def fix_count_closed(query: FixQuery) -> int:
     e = gcd(e, order)
     d = order // e
     n = family.n
-    if n == 1 and isinstance(family, (ByLeaves, LeafRooted, InternalRooted)):
-        # Degenerate leaf-count formulas (zero denominators); count directly.
+    if closed_falls_back(family):
         return fix_count_bruteforce(dataclasses.replace(query, e=e))
     if isinstance(family, AllTrees):
         return _fix_all_trees(n, d)

@@ -267,55 +267,82 @@ def _degrees_feasible(degrees: tuple[int, ...]) -> bool:
     return total % 2 == 0 and sum(degrees) == total // 2 + 1 and total > 0
 
 
+FAMILIES: dict[str, type] = {}  # name -> family class, in definition order
+
+
+class Family:
+    """A family of a sieving result: a frozen dataclass whose fields, in
+    order, are its parameters.  `class F(Family, name=..., guard=...)`
+    enters F in FAMILIES under `name`; `guard` is its default size guard."""
+
+    def __init_subclass__(cls, name: str, guard: int = 10, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.name, cls.guard_limit = name, guard
+        FAMILIES[name] = cls
+
+    @property
+    def word_length(self) -> int:
+        """Letters in each member's word: the depth of the enumerating walks."""
+        return 2 * self.n
+
+    def descriptor(self) -> dict:
+        out = {"family": self.name}
+        for name in family_fields(type(self)):
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
+def family_fields(cls) -> tuple[str, ...]:
+    """A family's parameter names: its dataclass fields, in order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def family_from_descriptor(d: dict):
+    """The family `descriptor()` describes; any of the FAMILIES."""
+    cls = FAMILIES.get(d["family"])
+    if cls is None:
+        raise ValueError(f"unknown family {d['family']!r}")
+    return cls(*(d[name] for name in family_fields(cls)))
+
+
 @dataclasses.dataclass(frozen=True)
-class AllTrees:
+class AllTrees(Family, name="all_trees"):
     n: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
-    def descriptor(self) -> dict:
-        return {"family": "all_trees", "n": self.n}
-
 
 @dataclasses.dataclass(frozen=True)
-class ByLeaves:
+class ByLeaves(Family, name="by_leaves"):
     n: int
     k: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
-    def descriptor(self) -> dict:
-        return {"family": "by_leaves", "n": self.n, "k": self.k}
-
 
 @dataclasses.dataclass(frozen=True)
-class LeafRooted:
+class LeafRooted(Family, name="leaf_rooted"):
     n: int
     k: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
-    def descriptor(self) -> dict:
-        return {"family": "leaf_rooted", "n": self.n, "k": self.k}
-
 
 @dataclasses.dataclass(frozen=True)
-class InternalRooted:
+class InternalRooted(Family, name="internal_rooted"):
     n: int
     k: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
-
-    def descriptor(self) -> dict:
-        return {"family": "internal_rooted", "n": self.n, "k": self.k}
 
 
 @dataclasses.dataclass(frozen=True, init=False)
-class ByDegrees:
+class ByDegrees(Family, name="by_degrees", guard=9):
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
@@ -325,12 +352,9 @@ class ByDegrees:
     def n(self) -> int:
         return _degrees_edge_count(self.degrees)
 
-    def descriptor(self) -> dict:
-        return {"family": "by_degrees", "degrees": list(self.degrees)}
-
 
 @dataclasses.dataclass(frozen=True, init=False)
-class LeafRootedDeg:
+class LeafRootedDeg(Family, name="leaf_rooted_deg", guard=9):
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
@@ -340,12 +364,9 @@ class LeafRootedDeg:
     def n(self) -> int:
         return _degrees_edge_count(self.degrees)
 
-    def descriptor(self) -> dict:
-        return {"family": "leaf_rooted_deg", "degrees": list(self.degrees)}
-
 
 @dataclasses.dataclass(frozen=True, init=False)
-class InternalRootedDeg:
+class InternalRootedDeg(Family, name="internal_rooted_deg", guard=9):
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
@@ -355,12 +376,9 @@ class InternalRootedDeg:
     def n(self) -> int:
         return _degrees_edge_count(self.degrees)
 
-    def descriptor(self) -> dict:
-        return {"family": "internal_rooted_deg", "degrees": list(self.degrees)}
-
 
 @dataclasses.dataclass(frozen=True, init=False)
-class RootDegree:
+class RootDegree(Family, name="root_degree", guard=9):
     degrees: tuple[int, ...]
     delta: int
 
@@ -375,34 +393,9 @@ class RootDegree:
     def n(self) -> int:
         return _degrees_edge_count(self.degrees)
 
-    def descriptor(self) -> dict:
-        return {"family": "root_degree", "degrees": list(self.degrees),
-                "delta": self.delta}
-
 
 TreeFamily = (AllTrees | ByLeaves | LeafRooted | InternalRooted
               | ByDegrees | LeafRootedDeg | InternalRootedDeg | RootDegree)
-
-
-def family_from_descriptor(d: dict) -> TreeFamily:
-    kind = d["family"]
-    if kind == "all_trees":
-        return AllTrees(d["n"])
-    if kind == "by_leaves":
-        return ByLeaves(d["n"], d["k"])
-    if kind == "leaf_rooted":
-        return LeafRooted(d["n"], d["k"])
-    if kind == "internal_rooted":
-        return InternalRooted(d["n"], d["k"])
-    if kind == "by_degrees":
-        return ByDegrees(d["degrees"])
-    if kind == "leaf_rooted_deg":
-        return LeafRootedDeg(d["degrees"])
-    if kind == "internal_rooted_deg":
-        return InternalRootedDeg(d["degrees"])
-    if kind == "root_degree":
-        return RootDegree(d["degrees"], d["delta"])
-    raise ValueError(f"unknown tree family {kind!r}")
 
 
 def _member_predicate(family: TreeFamily):

@@ -5,6 +5,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from sieveforest.cli import FAMILY_NAMES, run
+from sieveforest.csp import THEOREM_IDS
 
 
 def capture(capsys, argv):
@@ -151,28 +152,68 @@ class TestUsageErrors:
             assert code == 2 and out == "", argv
             assert f"{name} must be non-negative" in err and "Traceback" not in err
 
+    def test_words_past_the_recursion_limit_are_usage_errors(self, capsys):
+        # a raised guard admits these sizes, but one frame per letter of the
+        # enumerating walks would overflow the interpreter's stack
+        for argv in (["verify", "--theorem", "btij", "--b", "1000", "--n", "0",
+                      "--size-guard", "600"],
+                     ["verify", "--theorem", "ord", "--n", "600", "--size-guard", "600"],
+                     ["enumerate", "--family", "tm_ij", "--i", "0", "--j", "700",
+                      "--size-guard", "800"]):
+            code, out, err = capture(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert "at most 512" in err and "Traceback" not in err
+
 
 INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")
 
 
-# Every family ignores the flags it does not take, so each example passes all
-# integer flags; a missing --degrees is a usage error like a missing flag.
-@settings(max_examples=300, deadline=None)
-@given(command=st.sampled_from(("count", "enumerate")),
-       family=st.sampled_from(FAMILY_NAMES),
-       ints=st.tuples(*[st.integers(-3, 8)] * len(INT_FLAGS)),
-       degrees=st.none() | st.lists(st.integers(-3, 8), min_size=1, max_size=4))
-def test_fuzzed_count_and_enumerate_exit_0_or_2(command, family, ints, degrees):
-    argv = [command, "--family", family]
-    for flag, value in zip(INT_FLAGS, ints):
-        argv += [flag, str(value)]
-    if degrees is not None:
-        argv += ["--degrees", ",".join(map(str, degrees))]
+def run_quietly(argv) -> None:
+    """Run argv; it must exit 0 or 2 and print no traceback."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+# Every family and theorem ignores the flags it does not take, so each
+# example passes all integer flags; a missing --degrees is a usage error like
+# a missing flag, and an empty one is malformed.  No --size-guard is passed,
+# so the default guard keeps every verify and fixtable small.
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(("count", "enumerate", "verify", "fixtable", "poly")),
+       family=st.sampled_from(FAMILY_NAMES),
+       theorem=st.sampled_from(THEOREM_IDS),
+       ints=st.tuples(*[st.integers(-3, 8)] * len(INT_FLAGS)),
+       degrees=st.none() | st.lists(st.integers(-3, 8), max_size=4))
+def test_fuzzed_count_and_enumerate_exit_0_or_2(command, family, theorem, ints, degrees):
+    if command in ("count", "enumerate"):
+        argv = [command, "--family", family]
+    else:
+        argv = [command, "--theorem", theorem]
+    for flag, value in zip(INT_FLAGS, ints):
+        argv += [flag, str(value)]
+    if degrees is not None:
+        argv += ["--degrees", ",".join(map(str, degrees))]
+    run_quietly(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(("orbit", "biject")),
+       word=st.none() | st.text("()b", max_size=8),
+       walk=st.none() | st.text("ENWS", max_size=8),
+       kind=st.none() | st.sampled_from(("ordinary", "leaf", "internal", "degree")),
+       delta=st.none() | st.integers(-3, 8),
+       to=st.sampled_from(("ncm", "ncp", "dissection", "cubic", "decompose")))
+def test_fuzzed_orbit_and_biject_exit_0_or_2(command, word, walk, kind, delta, to):
+    argv = [command]
+    for flag, value in (("--word", word), ("--walk", walk), ("--delta", delta),
+                        ("--kind", kind if command == "orbit" else None),
+                        ("--to", to if command == "biject" else None)):
+        if value is not None:
+            argv += [flag, str(value)]
+    run_quietly(argv)
 
 
 class TestBatch:

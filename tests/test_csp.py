@@ -5,10 +5,11 @@ import pytest
 
 from sieveforest.csp import (ALL_EXPONENTS, CHU_VANDERMONDE_TM, DIVISORS,
                              InfeasibleParams, REFINED_LEAVES,
-                             SizeGuardExceeded, THEOREM_IDS, build_instance,
-                             check_poly_nonneg, check_size_guard,
-                             check_sum_identity, verify)
+                             SizeGuardExceeded, THEOREM_IDS, THEOREMS,
+                             build_instance, check_poly_nonneg,
+                             check_size_guard, check_sum_identity, verify)
 from sieveforest.qseries import eval_expr_at_root
+from sieveforest.trees import FAMILIES, family_from_descriptor
 
 
 class TestBuildInstance:
@@ -70,6 +71,13 @@ class TestBuildInstance:
         for theorem, p in params.items():
             inst = build_instance(theorem, **p)
             assert inst.order > 0
+            # a theorem's parameters are its family's fields, in order
+            descriptor = inst.family.descriptor()
+            assert FAMILIES[descriptor.pop("family")] is THEOREMS[theorem].family
+            assert descriptor == {k: list(v) if isinstance(v, tuple) else v
+                                  for k, v in p.items()}
+            assert list(descriptor) == list(p)
+            assert family_from_descriptor(inst.family.descriptor()) == inst.family
 
 
 class TestVerify:

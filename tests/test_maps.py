@@ -11,10 +11,10 @@ from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               compose, decompose, enumerate_maps,
                               fix_count_maps, fix_count_maps_closed,
                               from_cubic, is_valid_walk_prefix,
-                              map_family_from_descriptor, map_fixed_via_parts,
+                              map_fixed_via_parts,
                               rotate_btree, rotate_map, rotate_map_once_by_rule,
                               rotate_ncm, rotation_order_maps, to_cubic)
-from sieveforest.trees import catalan
+from sieveforest.trees import catalan, family_from_descriptor
 
 
 def small_degree_tuples(max_len=4, max_count=5):
@@ -141,7 +141,7 @@ class TestCounts:
     def test_descriptor_round_trip(self):
         for fam in (BT(2, 3), BTDeg(2, (2, 0, 0, 1)), TMij(2, 1), TMn(3),
                     TMDeg(1, (1, 0, 1)), NCM(4)):
-            assert map_family_from_descriptor(fam.descriptor()) == fam
+            assert family_from_descriptor(fam.descriptor()) == fam
 
     def test_negative_sizes_are_rejected_by_name(self):
         for make, name in ((lambda: BT(-1, 2), "b"), (lambda: BT(2, -1), "n"),

@@ -83,6 +83,8 @@ class TestFamilies:
                     LeafRootedDeg((2, 2)), InternalRootedDeg((2, 2)),
                     RootDegree((2, 2), 2)):
             assert family_from_descriptor(fam.descriptor()) == fam
+        with pytest.raises(ValueError, match="unknown family"):
+            family_from_descriptor({"family": "nope"})
 
     def test_negative_edge_count_is_rejected(self):
         for make in (lambda: AllTrees(-1), lambda: ByLeaves(-1, 2),
