@@ -39,6 +39,10 @@ class SizeGuardExceeded(ValueError):
 DIVISORS = "divisors"
 ALL_EXPONENTS = "all"
 
+# Expansion costs time and memory that grow with the degree, which grows as
+# the square of the size; `polynomial()` refuses anything larger.
+MAX_POLY_DEGREE = 10_000
+
 
 @dataclasses.dataclass(frozen=True)
 class Theorem:
@@ -130,6 +134,12 @@ class CspInstance:
     fallback: bool = False  # closed count replaced by enumeration at a boundary
 
     def polynomial(self) -> QPolynomial:
+        """The expanded q-product; refused above MAX_POLY_DEGREE."""
+        if self.expr.degree > MAX_POLY_DEGREE:
+            raise SizeGuardExceeded(
+                f"{self.theorem} with {self.params}: the polynomial has degree "
+                f"{self.expr.degree}, above the limit MAX_POLY_DEGREE = "
+                f"{MAX_POLY_DEGREE}")
         return to_polynomial(self.expr)
 
 
@@ -260,7 +270,7 @@ def check_poly_nonneg(instance: CspInstance) -> dict:
     """Exact division into a polynomial, plus coefficient shape predicates."""
     try:
         poly = instance.polynomial()
-    except (NotPolynomial, ValueError):
+    except NotPolynomial:
         return {"polynomial": False, "nonneg": False, "reciprocal": False}
     shapes = shape_predicates(poly)
     return {"polynomial": True, "nonneg": shapes["nonneg"],
@@ -276,28 +286,26 @@ CHU_VANDERMONDE_TM = "chu_vandermonde_tm"
 
 
 def check_sum_identity(which: str, n: int) -> bool:
-    """Exact polynomial identity between refined and unrefined instances."""
+    """Exact polynomial identity between refined and unrefined instances.
+
+    The unrefined side is expanded first: no term has a higher degree, so a
+    degree above MAX_POLY_DEGREE is refused before any work is done."""
     if which == REFINED_LEAVES:
         if n < 2:
             raise InfeasibleParams("refined leaf identity needs n >= 2")
-        total = QPolynomial(())
-        for k in range(2, n + 1):
-            expr = build_instance("ord_leaves", n=n, k=k).expr
-            shifted = QProductExpr(expr.shift + k * (k - 2), expr.num,
-                                   expr.den, expr.scalar)
-            total = total + to_polynomial(shifted)
-        return total == build_instance("ord", n=n).polynomial()
-    if which == CHU_VANDERMONDE_TM:
+        target = build_instance("ord", n=n).polynomial()
+        terms = [(build_instance("ord_leaves", n=n, k=k).expr, k * (k - 2))
+                 for k in range(2, n + 1)]
+    elif which == CHU_VANDERMONDE_TM:
         if n < 1:
             raise InfeasibleParams("need n >= 1")
-        total = QPolynomial(())
-        for i in range(n + 1):
-            j = n - i
-            expr = build_instance("tmij", i=i, j=j).expr if i + j else None
-            if expr is None:
-                continue
-            shifted = QProductExpr(expr.shift + (n + 1 - i) * j, expr.num,
-                                   expr.den, expr.scalar)
-            total = total + to_polynomial(shifted)
-        return total == build_instance("tmn", n=n).polynomial()
-    raise ValueError(f"unknown identity {which!r}")
+        target = build_instance("tmn", n=n).polynomial()
+        terms = [(build_instance("tmij", i=i, j=n - i).expr, (n + 1 - i) * (n - i))
+                 for i in range(n + 1)]
+    else:
+        raise ValueError(f"unknown identity {which!r}")
+    total = QPolynomial(())
+    for expr, shift in terms:
+        total = total + to_polynomial(QProductExpr(
+            expr.shift + shift, expr.num, expr.den, expr.scalar))
+    return total == target

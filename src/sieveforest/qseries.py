@@ -1,22 +1,28 @@
 """Exact arithmetic in Z[q].
 
 q-integers, q-factorial products, q-binomial/multinomial coefficients,
-cyclotomic polynomials, and evaluation at roots of unity.  Everything is done
-with arbitrary-precision integers; a value "at a primitive d-th root of unity"
-is obtained algebraically by reducing modulo the cyclotomic polynomial Phi_d,
-never by floating-point approximation.
+cyclotomic polynomials, and evaluation at roots of unity, all with
+arbitrary-precision integers and no floating point.  A q-product has two exact
+routes: `to_polynomial` expands it as q^shift * scalar * prod Phi_k^{m_k}, and
+`eval_expr_at_root` finds its value at a primitive d-th root of unity without
+expanding it, from the product taken in Z[q]/(q^d - 1) and reduced modulo
+Phi_d.  The two share only `phi_multiplicity`; `eval_at_primitive_root`
+reduces an expanded polynomial modulo Phi_d.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
 import json
+import math
+import operator
 from fractions import Fraction
 
 
 class NotPolynomial(ValueError):
-    """Division of a product expression left a non-zero remainder."""
+    """A product expression or a division does not leave a polynomial over Z."""
 
 
 class NonIntegerValue(ValueError):
@@ -80,12 +86,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def shifted(self, s: int) -> "QPolynomial":
-        """Multiply by q^s."""
-        if self.is_zero():
-            return self
-        return QPolynomial((0,) * s + self.coeffs)
-
     def __divmod__(self, d: "QPolynomial") -> "tuple[QPolynomial, QPolynomial]":
         """Long division over Z; every elimination step must divide exactly."""
         if d.is_zero():
@@ -147,9 +147,6 @@ class QPolynomial:
         return QPolynomial([int(c) for c in json.loads(text)["coeffs"]])
 
 
-ONE = QPolynomial((1,))
-
-
 def q_int(m: int) -> QPolynomial:
     """[m]_q = 1 + q + ... + q^(m-1)."""
     if m < 1:
@@ -186,14 +183,14 @@ class QProductExpr:
         return QProductExpr(self.shift + other.shift, self.num + other.num,
                             self.den + other.den, self.scalar * other.scalar)
 
+    @property
+    def degree(self) -> int:
+        """Degree of the quotient, read off the indices: [a]_q has degree a - 1."""
+        return self.shift + sum(self.num) - len(self.num) - sum(self.den) + len(self.den)
+
     def at_one(self) -> Fraction:
         """Value at q = 1: each [a]_q degenerates to a."""
-        val = self.scalar
-        for a in self.num:
-            val *= a
-        for b in self.den:
-            val /= b
-        return val
+        return self.scalar * math.prod(self.num) / math.prod(self.den)
 
     def to_json(self) -> str:
         return json.dumps({"shift": self.shift, "num": list(self.num),
@@ -205,13 +202,6 @@ class QProductExpr:
         return QProductExpr(d["shift"], d["num"], d["den"], Fraction(d["scalar"]))
 
 
-def q_factorial_indices(m: int) -> tuple[int, ...]:
-    """Index multiset of [m]_q! = [1]_q [2]_q ... [m]_q."""
-    if m < 0:
-        raise ValueError("negative factorial index")
-    return tuple(range(1, m + 1))
-
-
 def q_multinomial(M: int, parts) -> QProductExpr:
     """[M; N1, N2, ...]_q as a product expression; two parts give the q-binomial."""
     parts = tuple(parts)
@@ -219,10 +209,8 @@ def q_multinomial(M: int, parts) -> QProductExpr:
         raise ValueError("q_multinomial parts must be non-negative")
     if sum(parts) != M:
         raise ValueError(f"parts {parts} do not sum to {M}")
-    den: tuple[int, ...] = ()
-    for p in parts:
-        den += q_factorial_indices(p)
-    return QProductExpr(0, q_factorial_indices(M), den)
+    # [m]_q! has the indices 1, ..., m
+    return QProductExpr(0, range(1, M + 1), [i for p in parts for i in range(1, p + 1)])
 
 
 def q_binomial(M: int, k: int) -> QProductExpr:
@@ -244,22 +232,32 @@ def cyclotomic(d: int) -> QPolynomial:
 
 
 def to_polynomial(expr: QProductExpr) -> QPolynomial:
-    """Expand the product expression and perform the exact division."""
-    # Ascending-degree multiplication keeps intermediate polynomials small.
-    num = ONE
-    for a in expr.num:
-        num *= q_int(a)
-    den = ONE
-    for b in expr.den:
-        den *= q_int(b)
-    quo = num // den
-    quo = quo.shifted(expr.shift)
-    if expr.scalar != 1:
-        scaled = [expr.scalar * c for c in quo.coeffs]
-        if any(c.denominator != 1 for c in scaled):
-            raise NotPolynomial(f"scalar {expr.scalar} does not clear: {quo}")
-        quo = QPolynomial([int(c) for c in scaled])
-    return quo
+    """q^shift * scalar * prod_{k>=2} Phi_k^{m_k}, m_k = phi_multiplicity(expr, k).
+
+    A polynomial exactly when no m_k is negative; it then equals its power
+    series cut off above its degree, the product of the (1 - q^e)^{E_e} that
+    make up the [a]_q = (1 - q^a)/(1 - q).  Multiplying by 1 - q^e subtracts
+    a shifted copy; dividing by it is a running sum over each class mod e.
+    """
+    for k in range(2, max(expr.num + expr.den, default=1) + 1):
+        if phi_multiplicity(expr, k) < 0:
+            raise NotPolynomial(f"Phi_{k} divides the denominator more often than the numerator")
+    exponents = collections.Counter(expr.num)
+    exponents.subtract(expr.den)
+    exponents[1] += len(expr.den) - len(expr.num)
+    size = expr.degree - expr.shift + 1
+    cs = [1] + [0] * (size - 1)
+    for e, times in sorted(exponents.items(), key=lambda item: -item[1]):  # products first
+        for _ in range(abs(times) if e < size else 0):
+            if times > 0:
+                cs[e:] = map(operator.sub, cs[e:], cs[:size - e])
+            else:
+                for r in range(e):
+                    cs[r::e] = itertools.accumulate(cs[r::e])
+    scaled = [expr.scalar * c for c in cs]
+    if any(c.denominator != 1 for c in scaled):
+        raise NotPolynomial(f"scalar {expr.scalar} does not clear: {QPolynomial(cs)}")
+    return QPolynomial([0] * expr.shift + [int(c) for c in scaled])
 
 
 def phi_multiplicity(expr: QProductExpr, d: int) -> int:
@@ -271,10 +269,8 @@ def phi_multiplicity(expr: QProductExpr, d: int) -> int:
 
 
 def eval_at_primitive_root(p: QPolynomial, d: int) -> int:
-    """P at a primitive d-th root of unity, provided the value is an integer.
-
-    Reduces modulo Phi_d and insists on a constant residue; d = 1 means q = 1.
-    """
+    """P at a primitive d-th root of unity (q = 1 for d = 1): its residue
+    modulo Phi_d, which must be a constant."""
     if d < 1:
         raise ValueError("root order must be >= 1")
     if d == 1:
@@ -286,12 +282,14 @@ def eval_at_primitive_root(p: QPolynomial, d: int) -> int:
 
 
 def eval_expr_at_root(expr: QProductExpr, d: int) -> int:
-    """Independent oracle for eval_at_primitive_root(to_polynomial(expr), d).
+    """The value at a primitive d-th root of unity, from the product itself.
 
-    Pairs numerator and denominator q-integers congruent modulo d: a matched
-    pair [a]_q/[b]_q contributes a/b at the root when d divides both, and 1
-    otherwise (both factors take the same non-zero value).  Falls back to the
-    polynomial route when the residue classes cannot be paired off.
+    Multiples of d pair off, [a]_q/[b]_q tending to a/b (if they cannot, the
+    value is 0 or a pole).  Every other [a]_q is (1 - q^a)/(1 - q): the two
+    sides, with q^shift and the (1 - q) factors, are multiplied out in
+    Z[q]/(q^d - 1), where 1 - q^r is one rotate-and-subtract, and reduced once
+    modulo Phi_d.  The value is rational only if top = c * bottom coefficient
+    by coefficient, and is then c times the paired ratio.
     """
     if d < 1:
         raise ValueError("root order must be >= 1")
@@ -305,30 +303,31 @@ def eval_expr_at_root(expr: QProductExpr, d: int) -> int:
         raise PoleAtRoot(f"expression has a pole of order {-mult} at a primitive {d}-th root")
     if mult > 0:
         return 0
-    by_class_num: dict[int, list[int]] = {}
-    by_class_den: dict[int, list[int]] = {}
-    for a in expr.num:
-        by_class_num.setdefault(a % d, []).append(a)
-    for b in expr.den:
-        by_class_den.setdefault(b % d, []).append(b)
-    ratio = Fraction(expr.scalar)
-    for r in set(by_class_num) | set(by_class_den):
-        ns = sorted(by_class_num.get(r, ()), reverse=True)
-        ds = sorted(by_class_den.get(r, ()), reverse=True)
-        if len(ns) != len(ds):
-            # Unpaired factors evaluate to irrational units; let division decide.
-            return eval_at_primitive_root(to_polynomial(expr), d)
-        if r == 0:
-            for a, b in zip(ns, ds):
-                ratio *= Fraction(a, b)
-        # r != 0: matched factors share the same value, ratio 1.
-    root_power = QPolynomial((0,) * (expr.shift % d) + (1,)) % cyclotomic(d)
-    if root_power.degree > 0:
-        return eval_at_primitive_root(to_polynomial(expr), d)
-    ratio *= root_power.coeffs[0] if root_power.coeffs else 0
-    if ratio.denominator != 1:
-        raise NonIntegerValue(f"paired evaluation gave non-integer {ratio}")
-    return int(ratio)
+    phi = cyclotomic(d).coeffs
+    n = len(phi) - 1
+    ones = len(expr.den) - len(expr.num)
+    sides = []
+    for start, indices in ((expr.shift % d, expr.num + (1,) * ones),
+                           (0, expr.den + (1,) * -ones)):
+        v = [0] * d
+        v[start] = 1
+        for r in [a % d for a in indices if a % d]:
+            v = list(map(operator.sub, v, v[-r:] + v[:-r]))
+        for i in range(d - 1, n - 1, -1):
+            for j in range(n):
+                v[i - n + j] -= v[i] * phi[j]
+        sides.append(v[:n])
+    top, bottom = sides
+    # no factor of the bottom vanishes at the root, so its residue is not zero
+    k = next(k for k, c in enumerate(bottom) if c)
+    if any(t * bottom[k] != b * top[k] for t, b in zip(top, bottom)):
+        raise NonIntegerValue(f"value at a primitive {d}-th root is irrational")
+    val = (expr.scalar * Fraction(top[k], bottom[k])
+           * math.prod(a for a in expr.num if a % d == 0)
+           / math.prod(b for b in expr.den if b % d == 0))
+    if val.denominator != 1:
+        raise NonIntegerValue(f"value at a primitive {d}-th root is {val}")
+    return int(val)
 
 
 def shape_predicates(p: QPolynomial) -> dict:

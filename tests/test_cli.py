@@ -20,6 +20,17 @@ class TestPoly:
         assert code == 0
         assert out.strip() == "1 + 2q^2 + q^3 + 2q^4 + q^5 + 2q^6 + q^8"
 
+    def test_degree_limit(self, capsys):
+        # tmn at n = 300 has degree 180,000; refused before any expansion
+        for argv in (["poly", "--theorem", "tmn", "--n", "300"],
+                     ["sumcheck", "--identity", "chu_vandermonde_tm", "--n", "300"]):
+            code, out, err = capture(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert "MAX_POLY_DEGREE = 10000" in err
+        code, out, _ = capture(capsys, ["poly", "--theorem", "tmn", "--n", "50",
+                                        "--format", "json"])
+        assert code == 0 and len(json.loads(out)["coeffs"]) == 5001
+
     def test_json_coeffs(self, capsys):
         code, out, _ = capture(capsys, ["poly", "--theorem", "ord", "--n", "3",
                                         "--format", "json"])
@@ -54,6 +65,13 @@ class TestVerify:
                                         "--mode", "all"])
         assert code == 0
         assert "5,0,2,3,2,0" in out
+
+    def test_single_member_family_with_unpaired_root_classes(self, capsys):
+        # [200]_q! / ([200]_q! [1]_q): a root value that once expanded both
+        # factorials in full
+        code, out, _ = capture(capsys, ["verify", "--theorem", "btij", "--b", "200",
+                                        "--n", "0", "--size-guard", "600"])
+        assert code == 0 and out.startswith("PASS")
 
     def test_json_report(self, capsys):
         code, out, _ = capture(capsys, ["verify", "--theorem", "ncm_rotation",

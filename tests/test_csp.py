@@ -1,15 +1,29 @@
 import json
 import math
+import sys
 
 import pytest
 
+from sieveforest import csp, qseries
 from sieveforest.csp import (ALL_EXPONENTS, CHU_VANDERMONDE_TM, DIVISORS,
                              InfeasibleParams, REFINED_LEAVES,
                              SizeGuardExceeded, THEOREM_IDS, THEOREMS,
                              build_instance, check_poly_nonneg,
                              check_size_guard, check_sum_identity, verify)
-from sieveforest.qseries import eval_expr_at_root
+from sieveforest.qseries import QPolynomial, eval_expr_at_root
 from sieveforest.trees import FAMILIES, family_from_descriptor
+
+
+# One small instance of every theorem.
+SMALL_PARAMS = {"ord": dict(n=4), "ord_leaves": dict(n=4, k=3),
+                "ext": dict(n=4, k=3), "int": dict(n=4, k=3),
+                "ord_deg": dict(degrees=(3, 0, 1)),
+                "delta": dict(degrees=(3, 0, 1), delta=3),
+                "int_deg": dict(degrees=(3, 0, 1)),
+                "btij": dict(b=2, n=2), "btd": dict(b=2, degrees=(2, 0, 0, 1)),
+                "tmij": dict(i=1, j=1), "tmn": dict(n=2),
+                "tmd": dict(j=1, degrees=(1, 0, 1)),
+                "ncm_rotation": dict(j=3)}
 
 
 class TestBuildInstance:
@@ -58,17 +72,8 @@ class TestBuildInstance:
             build_instance("nonsense", n=3)
 
     def test_all_theorem_ids_buildable(self):
-        params = {"ord": dict(n=4), "ord_leaves": dict(n=4, k=3),
-                  "ext": dict(n=4, k=3), "int": dict(n=4, k=3),
-                  "ord_deg": dict(degrees=(3, 0, 1)),
-                  "delta": dict(degrees=(3, 0, 1), delta=3),
-                  "int_deg": dict(degrees=(3, 0, 1)),
-                  "btij": dict(b=2, n=2), "btd": dict(b=2, degrees=(2, 0, 0, 1)),
-                  "tmij": dict(i=1, j=1), "tmn": dict(n=2),
-                  "tmd": dict(j=1, degrees=(1, 0, 1)),
-                  "ncm_rotation": dict(j=3)}
-        assert set(params) == set(THEOREM_IDS)
-        for theorem, p in params.items():
+        assert set(SMALL_PARAMS) == set(THEOREM_IDS)
+        for theorem, p in SMALL_PARAMS.items():
             inst = build_instance(theorem, **p)
             assert inst.order > 0
             # a theorem's parameters are its family's fields, in order
@@ -108,6 +113,37 @@ class TestVerify:
         for e, row in rows.items():
             if e:
                 assert row["poly_value"] == rows[math.gcd(e, 12)]["poly_value"]
+
+    def test_root_values_never_expand_the_polynomial(self, monkeypatch):
+        # The third check must not be polynomial() again: with expansion and
+        # long division refused (bar cyclotomic's own construction), every
+        # row of every theorem still agrees.
+        construction = qseries.cyclotomic.__wrapped__.__code__
+        division = QPolynomial.__divmod__
+
+        def refuse(*args):
+            raise AssertionError("a root value expanded the q-product")
+
+        def divmod_in_cyclotomic(a, b):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not construction:
+                frame = frame.f_back
+            if frame is None:
+                raise AssertionError("a root value used long division")
+            return division(a, b)
+
+        qseries.cyclotomic.cache_clear()
+        monkeypatch.setattr(qseries, "to_polynomial", refuse)
+        monkeypatch.setattr(csp, "to_polynomial", refuse)
+        monkeypatch.setattr(QPolynomial, "__divmod__", divmod_in_cyclotomic)
+        instances = list(SMALL_PARAMS.items()) + [
+            ("ord", dict(n=6)), ("ord_leaves", dict(n=6, k=4)),
+            ("btij", dict(b=7, n=0)), ("btij", dict(b=3, n=2)),
+            ("tmn", dict(n=3)), ("tmij", dict(i=2, j=1)),
+            ("ncm_rotation", dict(j=5))]
+        for theorem, params in instances:
+            report = verify(build_instance(theorem, **params), ALL_EXPONENTS)
+            assert report.overall, (theorem, params)
 
     def test_report_serialization(self):
         report = verify(build_instance("ord", n=3), ALL_EXPONENTS)

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,43 @@ from sieveforest.qseries import (NotPolynomial, PoleAtRoot, QPolynomial,
                                  eval_at_primitive_root, eval_expr_at_root,
                                  q_binomial, q_int, q_multinomial,
                                  shape_predicates, to_polynomial)
+
+
+def reference_polynomial(expr: QProductExpr) -> QPolynomial:
+    """The expansion by its definition: multiply out every [a]_q, then
+    long-divide the numerator by the denominator."""
+    num = QPolynomial((1,))
+    for a in expr.num:
+        num *= q_int(a)
+    den = QPolynomial((1,))
+    for b in expr.den:
+        den *= q_int(b)
+    quo = num // den
+    scaled = [expr.scalar * c for c in (0,) * expr.shift + quo.coeffs]
+    if any(c.denominator != 1 for c in scaled):
+        raise NotPolynomial(f"scalar {expr.scalar} does not clear: {quo}")
+    return QPolynomial([int(c) for c in scaled])
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+# Products of q-multinomials times a few extra [a]_q / [b]_q, with a random
+# shift and scalar: polynomials and non-polynomials alike.
+q_products = st.builds(
+    lambda factors, num, den, shift, scalar: functools.reduce(
+        operator.mul, factors, QProductExpr(shift, num, den, scalar)),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3).map(
+        lambda parts: q_multinomial(sum(parts), parts)), max_size=2),
+    st.lists(st.integers(1, 10), max_size=3),
+    st.lists(st.integers(1, 10), max_size=3),
+    st.integers(0, 4),
+    st.fractions(-3, 3, max_denominator=3))
 
 
 class TestQPolynomial:
@@ -121,6 +160,17 @@ class TestEvaluation:
         expr = q_binomial(m, k)
         poly = to_polynomial(expr)
         assert eval_expr_at_root(expr, d) == eval_at_primitive_root(poly, d)
+
+    @settings(deadline=None, max_examples=300)
+    @given(q_products)
+    def test_expansion_and_root_values_match_the_reference(self, expr):
+        ref = outcome(reference_polynomial, expr)
+        assert outcome(to_polynomial, expr) == ref
+        if ref is NotPolynomial:
+            return
+        for d in range(1, ref.degree + 3):
+            assert (outcome(eval_expr_at_root, expr, d)
+                    == outcome(eval_at_primitive_root, ref, d)), d
 
     def test_evaluation_at_one_is_coefficient_sum(self):
         poly = QPolynomial((3, -1, 4))
