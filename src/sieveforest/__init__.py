@@ -12,15 +12,14 @@ from .trees import (FAMILIES, AllTrees, ByDegrees, ByLeaves, InternalRooted,
                     family_from_descriptor, glue_halves, half_tree, matching,
                     replicate_sector, sector, shift_root, stats)
 from .rotations import (FixQuery, INTERNAL, LEAF, ORDINARY, RotationKind,
-                        check_rotation_transfer, degree_kind, family_kind,
-                        fix_count_bruteforce, fix_count_closed, orbit, rotate,
-                        rotation_order)
+                        check_rotation_transfer, degree_kind,
+                        fix_count_bruteforce, fix_count_closed, orbit, rotate)
 from .maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                    NonCrossingMatching, TMDeg, TMij, TMn, TreeRootedMap,
                    advance_root, closed_count_maps, compose, decompose,
                    enumerate_maps, fix_count_maps, fix_count_maps_closed,
                    from_cubic, rotate_btree, rotate_map, rotate_ncm,
-                   rotation_order_maps, to_cubic)
+                   to_cubic)
 from .bijections import (Degree2NodePresent, Dissection, NonCrossingPartition,
                          NotLeafRooted, dissection_to_tree, kreweras,
                          ncm_to_tree, ncp_to_tree, point_rotation,

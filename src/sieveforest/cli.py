@@ -55,14 +55,6 @@ def _build_family(args):
     return trees.family_from_descriptor({**params, "family": args.family})
 
 
-def _member_text(member) -> str:
-    if isinstance(member, (trees.PlaneTree, maps.BTreeWord, maps.TreeRootedMap)):
-        return member.word
-    if isinstance(member, maps.NonCrossingMatching):
-        return json.dumps(member.pairs())
-    return str(member)
-
-
 def _emit(args, text_lines, payload) -> None:
     if args.format == "json":
         print(json.dumps(payload))
@@ -71,30 +63,17 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def _enumerate_members(family):
-    if isinstance(family, trees.TreeFamily):
-        return list(trees.enumerate_family(family))
-    return list(maps.enumerate_maps(family))
-
-
-def _closed_count(family) -> int:
-    if isinstance(family, trees.TreeFamily):
-        return trees.closed_count(family)
-    return maps.closed_count_maps(family)
-
-
 def _cmd_enumerate(args) -> int:
     family = _build_family(args)
     csp.check_size_guard(family, args.size_guard)
-    members = _enumerate_members(family)
-    _emit(args, [_member_text(m) for m in members],
-          [_member_text(m) for m in members])
+    members = [str(m) for m in family.members()]
+    _emit(args, members, members)
     return 0
 
 
 def _cmd_count(args) -> int:
     family = _build_family(args)
-    count = _closed_count(family)
+    count = family.count()
     _emit(args, [str(count)], {"family": family.descriptor(), "count": count})
     return 0
 
@@ -185,8 +164,8 @@ def _cmd_orbit(args) -> int:
             if kind is None:
                 raise UsageError(f"unknown rotation kind {args.kind!r}")
         members = rotations.orbit(trees.PlaneTree(args.word), kind)
-    _emit(args, [_member_text(m) for m in members],
-          [_member_text(m) for m in members])
+    members = [str(m) for m in members]
+    _emit(args, members, members)
     return 0
 
 

@@ -16,10 +16,8 @@ import os
 import time
 from collections.abc import Callable
 
-from . import rotations as _rot
 from . import trees as _trees
-from .maps import (BT, BTDeg, NCM, TMDeg, TMij, TMn, closed_count_maps,
-                   fix_count_maps, fix_count_maps_closed, rotation_order_maps)
+from .maps import BT, BTDeg, NCM, TMDeg, TMij, TMn
 from .qseries import (NotPolynomial, QPolynomial, QProductExpr,
                       eval_expr_at_root, q_binomial, q_multinomial,
                       shape_predicates, to_polynomial)
@@ -84,15 +82,15 @@ THEOREMS = {
         lambda f: (QProductExpr(num=(2 * f.n - f.k,), den=(f.n, f.n - 1))
                    * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
     "ord_deg": Theorem(
-        ByDegrees, lambda f: f.n >= 1 and _trees.closed_count(f) > 0,
+        ByDegrees, lambda f: f.n >= 1 and f.count() > 0,
         lambda f: (QProductExpr(num=(2 * f.n,), den=(f.n, f.n + 1))
                    * q_multinomial(f.n + 1, f.degrees))),
     "delta": Theorem(
-        RootDegree, lambda f: f.n >= 1 and _trees.closed_count(f) > 0,
+        RootDegree, lambda f: f.n >= 1 and f.count() > 0,
         _delta_qproduct),
     "int_deg": Theorem(
         InternalRootedDeg,
-        lambda f: f.n >= 1 and f.degrees[0] > 0 and _trees.closed_count(f) > 0,
+        lambda f: f.n >= 1 and f.degrees[0] > 0 and f.count() > 0,
         lambda f: (QProductExpr(num=(2 * f.n - f.degrees[0],), den=(f.n + 1, f.n))
                    * q_multinomial(f.n + 1, f.degrees))),
     "btij": Theorem(
@@ -100,7 +98,7 @@ THEOREMS = {
         lambda f: (QProductExpr(den=(f.n + 1,))
                    * q_multinomial(2 * f.n + f.b, (f.b, f.n, f.n)))),
     "btd": Theorem(
-        BTDeg, lambda f: f.n >= 0 and f.feasible() and closed_count_maps(f) > 0,
+        BTDeg, lambda f: f.n >= 0 and f.feasible() and f.count() > 0,
         lambda f: (QProductExpr(num=(2 * f.n + f.b,), den=(f.n + f.b + 1, f.n + f.b))
                    * q_multinomial(f.n + f.b + 1, (f.b,) + f.degrees))),
     "tmij": Theorem(
@@ -112,7 +110,7 @@ THEOREMS = {
         lambda f: (q_binomial(2 * f.n, f.n) * q_binomial(2 * f.n + 2, f.n + 1)
                    * QProductExpr(den=(f.n + 1, f.n + 2)))),
     "tmd": Theorem(
-        TMDeg, lambda f: f.n >= 1 and closed_count_maps(f) > 0,
+        TMDeg, lambda f: f.n >= 1 and f.count() > 0,
         lambda f: (QProductExpr(num=(2 * f.n,), den=(f.j + 1, f.n + f.j + 1, f.n + f.j))
                    * q_multinomial(f.n + f.j + 1, (f.j, f.j) + f.degrees))),
     "ncm_rotation": Theorem(
@@ -131,7 +129,6 @@ class CspInstance:
     kind: object  # RotationKind for tree families, None for map families
     order: int
     expr: QProductExpr
-    fallback: bool = False  # closed count replaced by enumeration at a boundary
 
     def polynomial(self) -> QPolynomial:
         """The expanded q-product; refused above MAX_POLY_DEGREE."""
@@ -159,13 +156,8 @@ def build_instance(theorem: str, **params) -> CspInstance:
         if isinstance(exc, InfeasibleParams):
             raise
         raise InfeasibleParams(f"{theorem} with {params}: {exc}") from exc
-    if isinstance(family, _trees.TreeFamily):
-        kind = _rot.family_kind(family)
-        return CspInstance(theorem, dict(params), family, kind,
-                           _rot.rotation_order(family, kind), expr,
-                           _rot.closed_falls_back(family))
-    return CspInstance(theorem, dict(params), family, None,
-                       rotation_order_maps(family), expr)
+    return CspInstance(theorem, dict(params), family, family.kind,
+                       family.order(family.kind), expr)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +206,11 @@ class VerificationReport:
     rows: list  # dicts: e, d, brute, closed, poly_value, agree
     overall: bool
     seconds: float
-    fallback: bool = False
 
     def to_json(self) -> str:
         return json.dumps({"theorem": self.theorem, "params": self.params,
                            "rows": self.rows, "overall": self.overall,
-                           "seconds": self.seconds, "fallback": self.fallback})
+                           "seconds": self.seconds})
 
     def to_csv(self) -> str:
         lines = ["e,d,brute,closed,poly_value,agree"]
@@ -229,18 +220,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _fix_pair(instance: CspInstance, e: int) -> tuple[int, int]:
-    if instance.kind is not None:
-        query = FixQuery(instance.family, instance.kind, e)
-        return fix_count_bruteforce(query), fix_count_closed(query)
-    return (fix_count_maps(instance.family, e),
-            fix_count_maps_closed(instance.family, e))
-
-
 def _row(instance: CspInstance, e: int) -> dict:
     m = instance.order
     d = m // math.gcd(e, m) if e else 1
-    brute, closed = _fix_pair(instance, e)
+    query = FixQuery(instance.family, instance.kind, e)
+    brute, closed = fix_count_bruteforce(query), fix_count_closed(query)
     poly_value = eval_expr_at_root(instance.expr, d)
     return {"e": e, "d": d, "brute": brute, "closed": closed,
             "poly_value": poly_value, "agree": brute == closed == poly_value}
@@ -263,7 +247,7 @@ def verify(instance: CspInstance, mode: str = DIVISORS,
     rows = [_row(instance, e) for e in exponents]
     return VerificationReport(instance.theorem, instance.params, rows,
                               all(r["agree"] for r in rows),
-                              time.perf_counter() - start, instance.fallback)
+                              time.perf_counter() - start)
 
 
 def check_poly_nonneg(instance: CspInstance) -> dict:

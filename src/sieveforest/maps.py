@@ -12,14 +12,21 @@ letter a within its own E/W or N/S class).  Iterating the rewriting is the
 same as shifting all chord endpoints by -steps around the circle of 2n
 positions and re-reading the letters, which is how multi-step rotation is
 implemented.
+
+The six map families implement the `trees.Family` protocol.  Each has one
+rotation (its `kind` is None) of order `word_length`, rotates a member
+with `rotate` and reads its period off its arc offsets.  The tree-rooted
+map families decouple into a b-tree family times a matching family, and
+their counts and fixed points multiply accordingly.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-from fractions import Fraction
-from math import comb, gcd
+import json
+from math import comb, gcd, prod
 
+from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 from .trees import (Family, _as_int, _check_sizes, _multinomial,
                     _normalize_degrees, _single_offset_class, arc_offsets,
                     catalan, cyclic_period, degree_distribution,
@@ -105,6 +112,9 @@ class NonCrossingMatching:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, p) for i, p in enumerate(self.partner) if i < p]
 
+    def __str__(self) -> str:
+        return json.dumps(self.pairs())
+
     @staticmethod
     def from_pairs(pairs, size: "int | None" = None) -> "NonCrossingMatching":
         pairs = [tuple(p) for p in pairs]
@@ -180,8 +190,34 @@ def _btree_stats(word: str) -> tuple[int, ...]:
     return degree_distribution(node_degrees(word))
 
 
+class _Maps(Family):
+    """Map-side protocol: one rotation (`kind` None) whose order is the word
+    length.  A member's period is read off its arc offsets, and `rotate`
+    turns a member by a number of steps."""
+
+    kind = None
+
+    def order(self, kind=None) -> int:
+        return self.word_length
+
+    def census(self, kind=None):
+        return _map_period_census(self)
+
+    def _census(self):
+        """The census by enumeration, one literal rotation per member."""
+        return period_census(enumerate_maps(self), self.period, self.rotate)
+
+    def period(self, member) -> int:
+        """Least rotation power fixing the member."""
+        return cyclic_period(arc_offsets(member.word))
+
+    def rotate(self, member, steps: int):
+        """The tree-rooted map rotation; b-trees and matchings override it."""
+        return rotate_map(member, steps)
+
+
 @dataclasses.dataclass(frozen=True)
-class BT(Family, name="bt", guard=5):
+class BT(_Maps, name="bt", guard=5):
     b: int
     n: int
 
@@ -192,9 +228,36 @@ class BT(Family, name="bt", guard=5):
     def word_length(self) -> int:
         return 2 * self.n + self.b
 
+    def rotate(self, member, steps: int):
+        return rotate_btree(member, steps)
+
+    def members(self):
+        for w in _btree_words(self.b, self.n):
+            yield BTreeWord(w)
+
+    def _census(self):
+        """The one-walk b-tree census, summed over degree distributions."""
+        counts: dict[int, int] = {}
+        for census in _btdeg_census_all(self.b, self.n).values():
+            for p, c in census:
+                counts[p] = counts.get(p, 0) + c
+        return tuple(sorted(counts.items()))
+
+    def count(self) -> int:
+        b, n = self.b, self.n
+        return _multinomial(2 * n + b, (b, n, n)) // (n + 1)
+
+    def fix_closed(self, d: int) -> int:
+        b, n = self.b, self.n
+        if d == 2 and n % 2 == 1:
+            return _multinomial(n + b // 2, (b // 2, (n - 1) // 2, (n + 1) // 2))
+        if n % d == 0 and b % d == 0:
+            return _multinomial((2 * n + b) // d, (b // d, n // d, n // d))
+        return 0
+
 
 @dataclasses.dataclass(frozen=True, init=False)
-class BTDeg(Family, name="bt_deg", guard=5):
+class BTDeg(_Maps, name="bt_deg", guard=5):
     b: int
     degrees: tuple[int, ...]
 
@@ -209,15 +272,67 @@ class BTDeg(Family, name="bt_deg", guard=5):
         return sum(self.degrees) - 1
 
     word_length = BT.word_length
+    rotate = BT.rotate
 
     def feasible(self) -> bool:
         degsum = sum(i * c for i, c in enumerate(self.degrees, start=1))
         return degsum == 2 * self.n + self.b and \
             -self.b + sum((i - 2) * c for i, c in enumerate(self.degrees, start=1)) == -2
 
+    def members(self):
+        if self.feasible():
+            for w in _btree_words(self.b, self.n):
+                if _btree_stats(w) == self.degrees:
+                    yield BTreeWord(w)
+
+    def _census(self):
+        """This degree distribution's group of the one-walk b-tree census."""
+        if not self.feasible() or self.n < 0:
+            return ()
+        return _btdeg_census_all(self.b, self.n).get(self.degrees, ())
+
+    def count(self) -> int:
+        if not self.feasible():
+            return 0
+        b, n = self.b, self.n
+        return _as_int((2 * n + b) * _multinomial(b + n + 1, (b,) + self.degrees),
+                       (n + b) * (n + b + 1))
+
+    def fix_closed(self, d: int) -> int:
+        b, n, degrees = self.b, self.n, self.degrees
+        if not self.feasible():
+            return 0
+        if d == 2 and b % 2 == 0 and all(c % 2 == 0 for c in degrees):
+            halves = (b // 2,) + tuple(c // 2 for c in degrees)
+            return _as_int((2 * n + b) * _multinomial((b + n + 1) // 2, halves),
+                           n + b + 1)
+        ell = _single_offset_class(degrees, d)
+        if ell is None or b % d:
+            return 0
+        parts = [b // d] + [c // d for c in degrees]  # buds first
+        parts[ell] = (degrees[ell - 1] - 1) // d
+        return _as_int((2 * n + b) * _multinomial((n + b) // d, parts), n + b)
+
+
+class _Decoupled(_Maps):
+    """Tree-rooted maps as (b-tree with 2j buds, matching of the buds)
+    pairs, by `compose`: counts and fixed points multiply over the parts."""
+
+    def members(self):
+        btrees, _ = self._parts()
+        for bt in btrees.members():
+            for m in _ncm_list(self.j):
+                yield compose(bt, m)
+
+    def count(self) -> int:
+        return prod(part.count() for part in self._parts())
+
+    def fix_closed(self, d: int) -> int:
+        return prod(part.fix_closed(d) for part in self._parts())
+
 
 @dataclasses.dataclass(frozen=True)
-class TMij(Family, name="tm_ij", guard=5):
+class TMij(_Decoupled, name="tm_ij", guard=5):
     i: int
     j: int
 
@@ -228,17 +343,30 @@ class TMij(Family, name="tm_ij", guard=5):
     def n(self) -> int:
         return self.i + self.j
 
+    def _parts(self):
+        return BT(2 * self.j, self.i), NCM(self.j)
+
 
 @dataclasses.dataclass(frozen=True)
-class TMn(Family, name="tm_n", guard=5):
+class TMn(_Maps, name="tm_n", guard=5):
     n: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
+    def members(self):
+        for i in range(self.n + 1):
+            yield from TMij(i, self.n - i).members()
+
+    def count(self) -> int:
+        return catalan(self.n) * catalan(self.n + 1)
+
+    def fix_closed(self, d: int) -> int:
+        return sum(TMij(i, self.n - i).fix_closed(d) for i in range(self.n + 1))
+
 
 @dataclasses.dataclass(frozen=True, init=False)
-class TMDeg(Family, name="tm_deg", guard=5):
+class TMDeg(_Decoupled, name="tm_deg", guard=5):
     j: int
     degrees: tuple[int, ...]
 
@@ -252,9 +380,12 @@ class TMDeg(Family, name="tm_deg", guard=5):
         """Map edge count: tree edges plus j."""
         return sum(self.degrees) - 1 + self.j
 
+    def _parts(self):
+        return BTDeg(2 * self.j, self.degrees), NCM(self.j)
+
 
 @dataclasses.dataclass(frozen=True)
-class NCM(Family, name="ncm", guard=5):
+class NCM(_Maps, name="ncm", guard=5):
     j: int
 
     def __post_init__(self):
@@ -264,8 +395,25 @@ class NCM(Family, name="ncm", guard=5):
     def word_length(self) -> int:
         return 2 * self.j
 
+    def rotate(self, member, steps: int):
+        return rotate_ncm(member, steps)
 
-MapFamily = BT | BTDeg | TMij | TMn | TMDeg | NCM
+    def period(self, member) -> int:
+        size = len(member.partner)
+        return cyclic_period("".join([chr((p - i) % size)
+                                      for i, p in enumerate(member.partner)]))
+
+    def members(self):
+        yield from _ncm_list(self.j)
+
+    def count(self) -> int:
+        return catalan(self.j)
+
+    def fix_closed(self, d: int) -> int:
+        j = self.j
+        if d == 2:
+            return comb(j, (j + 1) // 2)
+        return comb(2 * j // d, j // d) if j % d == 0 else 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,93 +551,14 @@ def rotate_ncm(m: NonCrossingMatching, steps: int = 1) -> NonCrossingMatching:
 # Enumeration and counting
 
 
-def enumerate_maps(family: MapFamily):
-    """Members in a fixed deterministic order; TM families via b-tree x matching."""
-    if isinstance(family, BT):
-        for w in _btree_words(family.b, family.n):
-            yield BTreeWord(w)
-    elif isinstance(family, BTDeg):
-        if not family.feasible():
-            return
-        for w in _btree_words(family.b, family.n):
-            if _btree_stats(w) == family.degrees:
-                yield BTreeWord(w)
-    elif isinstance(family, TMij):
-        for w in _btree_words(2 * family.j, family.i):
-            bt = BTreeWord(w)
-            for m in _ncm_list(family.j):
-                yield compose(bt, m)
-    elif isinstance(family, TMn):
-        for i in range(family.n + 1):
-            yield from enumerate_maps(TMij(i, family.n - i))
-    elif isinstance(family, TMDeg):
-        base = BTDeg(2 * family.j, family.degrees)
-        for bt in enumerate_maps(base):
-            for m in _ncm_list(family.j):
-                yield compose(bt, m)
-    elif isinstance(family, NCM):
-        yield from _ncm_list(family.j)
-    else:
-        raise TypeError(f"not a map family: {family!r}")
+def enumerate_maps(family):
+    """Every member once, in a fixed order: `family.members()`."""
+    return family.members()
 
 
-def _bt_count(b: int, n: int) -> int:
-    return _multinomial(2 * n + b, (b, n, n)) // (n + 1)
-
-
-def _btdeg_count(b: int, degrees: tuple[int, ...]) -> int:
-    fam = BTDeg(b, degrees)
-    if not fam.feasible():
-        return 0
-    n = fam.n
-    return _as_int(Fraction(2 * n + b, (n + b) * (n + b + 1))
-                   * _multinomial(b + n + 1, (b,) + degrees))
-
-
-def closed_count_maps(family: MapFamily) -> int:
-    if isinstance(family, BT):
-        return _bt_count(family.b, family.n)
-    if isinstance(family, BTDeg):
-        return _btdeg_count(family.b, family.degrees)
-    if isinstance(family, TMij):
-        i, j = family.i, family.j
-        return _multinomial(2 * i + 2 * j, (i, i, j, j)) // ((i + 1) * (j + 1))
-    if isinstance(family, TMn):
-        return catalan(family.n) * catalan(family.n + 1)
-    if isinstance(family, TMDeg):
-        return _btdeg_count(2 * family.j, family.degrees) * catalan(family.j)
-    if isinstance(family, NCM):
-        return catalan(family.j)
-    raise TypeError(f"not a map family: {family!r}")
-
-
-def rotation_order_maps(family: MapFamily) -> int:
-    if isinstance(family, (BT, BTDeg)):
-        return 2 * family.n + family.b
-    if isinstance(family, (TMij, TMn, TMDeg)):
-        return 2 * family.n
-    if isinstance(family, NCM):
-        return 2 * family.j
-    raise TypeError(f"not a map family: {family!r}")
-
-
-def _rotate_member(member, steps: int):
-    if isinstance(member, BTreeWord):
-        return rotate_btree(member, steps)
-    if isinstance(member, TreeRootedMap):
-        return rotate_map(member, steps)
-    if isinstance(member, NonCrossingMatching):
-        return rotate_ncm(member, steps)
-    raise TypeError(f"cannot rotate {member!r}")
-
-
-def _period(member) -> int:
-    """Least rotation power fixing the member: the period of its arc offsets."""
-    if isinstance(member, NonCrossingMatching):
-        size = len(member.partner)
-        return cyclic_period("".join([chr((p - i) % size)
-                                      for i, p in enumerate(member.partner)]))
-    return cyclic_period(arc_offsets(member.word))
+def closed_count_maps(family) -> int:
+    """The exact count of the family: `family.count()`."""
+    return family.count()
 
 
 @functools.lru_cache(maxsize=None)
@@ -574,88 +643,19 @@ def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _map_period_census(family: MapFamily) -> tuple[tuple[int, int], ...]:
-    if isinstance(family, BT):
-        counts: dict[int, int] = {}
-        for census in _btdeg_census_all(family.b, family.n).values():
-            for p, c in census:
-                counts[p] = counts.get(p, 0) + c
-        return tuple(sorted(counts.items()))
-    if isinstance(family, BTDeg):
-        if not family.feasible() or family.n < 0:
-            return ()
-        return _btdeg_census_all(family.b, family.n).get(family.degrees, ())
-    return period_census(enumerate_maps(family), _period, _rotate_member)
+def _map_period_census(family) -> tuple[tuple[int, int], ...]:
+    """((period, member count), ...) over the family: `family._census()`."""
+    return family._census()
 
 
-def fix_count_maps(family: MapFamily, e: int) -> int:
+def fix_count_maps(family, e: int) -> int:
     """Brute-force count of members fixed by the e-th rotation power."""
-    census = _map_period_census(family)
-    if e == 0:
-        return sum(c for _, c in census)
-    return sum(c for p, c in census if e % p == 0)
+    return fix_count_bruteforce(FixQuery(family, None, e))
 
 
-def _ncm_fix_d(j: int, d: int) -> int:
-    if d == 1:
-        return catalan(j)
-    if d == 2:
-        return comb(j, (j + 1) // 2)
-    if j % d == 0:
-        return comb(2 * j // d, j // d)
-    return 0
-
-
-def _bt_fix_d(b: int, n: int, d: int) -> int:
-    if d == 1:
-        return _bt_count(b, n)
-    if d == 2 and n % 2 == 1:
-        return _multinomial(n + b // 2, (b // 2, (n - 1) // 2, (n + 1) // 2))
-    if n % d == 0 and b % d == 0:
-        return _multinomial((2 * n + b) // d, (b // d, n // d, n // d))
-    return 0
-
-
-def _btdeg_fix_d(b: int, degrees: tuple[int, ...], d: int) -> int:
-    fam = BTDeg(b, degrees)
-    if not fam.feasible():
-        return 0
-    n = fam.n
-    if d == 1:
-        return _btdeg_count(b, degrees)
-    if d == 2 and b % 2 == 0 and all(c % 2 == 0 for c in degrees):
-        return _as_int(Fraction(2 * n + b, n + b + 1)
-                       * _multinomial((b + n + 1) // 2,
-                                      (b // 2,) + tuple(c // 2 for c in degrees)))
-    ell = _single_offset_class(degrees, d)
-    if ell is not None and b % d == 0:
-        parts = [c // d for c in degrees]
-        parts[ell - 1] = (degrees[ell - 1] - 1) // d
-        return _as_int(Fraction(2 * n + b, n + b)
-                       * _multinomial((n + b) // d, (b // d,) + tuple(parts)))
-    return 0
-
-
-def fix_count_maps_closed(family: MapFamily, e: int) -> int:
+def fix_count_maps_closed(family, e: int) -> int:
     """Closed-form fixed-point count; TM families decouple into b-tree x matching."""
-    order = rotation_order_maps(family)
-    if order == 0 or e % order == 0:
-        return closed_count_maps(family)
-    d = order // gcd(e, order)
-    if isinstance(family, BT):
-        return _bt_fix_d(family.b, family.n, d)
-    if isinstance(family, BTDeg):
-        return _btdeg_fix_d(family.b, family.degrees, d)
-    if isinstance(family, NCM):
-        return _ncm_fix_d(family.j, d)
-    if isinstance(family, TMij):
-        return _bt_fix_d(2 * family.j, family.i, d) * _ncm_fix_d(family.j, d)
-    if isinstance(family, TMn):
-        return sum(_bt_fix_d(2 * j, family.n - j, d) * _ncm_fix_d(j, d)
-                   for j in range(family.n + 1))
-    if isinstance(family, TMDeg):
-        return _btdeg_fix_d(2 * family.j, family.degrees, d) * _ncm_fix_d(family.j, d)
-    raise TypeError(f"not a map family: {family!r}")
+    return fix_count_closed(FixQuery(family, None, e))
 
 
 def map_fixed_via_parts(mp: TreeRootedMap, e: int) -> bool:

@@ -5,11 +5,17 @@ corner: '(' when an edge is traversed for the first time, ')' on the way back.
 Corner t (0 <= t < 2n) is the corner visited just before letter t; the root
 corner is corner 0.  Equality, hashing and ordering are word-based.
 
-The module provides the eight constrained families with their exact counts,
-exhaustive generators, the tree center, and the two structural surgeries used
-to classify trees fixed by a power of the rotation: cutting the central edge
-(half_tree / glue_halves) and keeping a 1/d sector around the central vertex
-(sector / replicate_sector).
+The module provides the rotation kinds (`RotationKind`: which corners a
+rotation visits), the `Family` protocol that every family of the package
+implements, the eight plane-tree families, the tree center, and the two
+structural surgeries used to classify trees fixed by a power of the
+rotation: cutting the central edge (half_tree / glue_halves) and keeping a
+1/d sector around the central vertex (sector / replicate_sector).
+
+A plane-tree family is a size constraint (all trees, k leaves, or a degree
+distribution) and a root constraint, which is its rotation kind: the root
+corner must be one the kind visits.  Its members, the order of each kind
+acting on it, and its counts all follow from these two.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ import dataclasses
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 class NotEdgeCentered(ValueError):
@@ -236,6 +242,48 @@ def stats(tree: PlaneTree) -> TreeStats:
 
 
 # ---------------------------------------------------------------------------
+# Rotation kinds
+
+
+class IncompatibleKind(ValueError):
+    """Rotation kind does not match the family's root constraint."""
+
+
+@dataclasses.dataclass(frozen=True)
+class RotationKind:
+    """Which corners the rotation visits: all of them (ordinary), those at
+    leaves, those at internal nodes, or those at nodes of degree `delta`."""
+    name: str
+    delta: int = 0
+
+    def __str__(self) -> str:
+        return f"degree({self.delta})" if self.name == "degree" else self.name
+
+    def eligible(self, node_degree: int) -> bool:
+        """Whether the rotation visits the corners of a node of this degree."""
+        if self.name == "leaf":
+            return node_degree == 1
+        if self.name == "internal":
+            return node_degree >= 2
+        if self.name == "degree":
+            return node_degree == self.delta
+        if self.name == "ordinary":
+            return True
+        raise IncompatibleKind(f"unknown kind {self}")
+
+
+ORDINARY = RotationKind("ordinary")
+LEAF = RotationKind("leaf")
+INTERNAL = RotationKind("internal")
+
+
+def degree_kind(delta: int) -> RotationKind:
+    if delta < 1:
+        raise ValueError("degree class must be >= 1")
+    return RotationKind("degree", delta)
+
+
+# ---------------------------------------------------------------------------
 # Families
 
 
@@ -273,12 +321,30 @@ FAMILIES: dict[str, type] = {}  # name -> family class, in definition order
 class Family:
     """A family of a sieving result: a frozen dataclass whose fields, in
     order, are its parameters.  `class F(Family, name=..., guard=...)`
-    enters F in FAMILIES under `name`; `guard` is its default size guard."""
+    enters F in FAMILIES under `name`; `guard` is its default size guard.
 
-    def __init_subclass__(cls, name: str, guard: int = 10, **kwargs):
+    Each family answers for itself:
+      members()     every member once, in a fixed order, by enumeration;
+      count()       the number of members, from a formula;
+      kind          the rotation its theorem uses (None for map families,
+                    which have one rotation);
+      order(kind)   the order of that rotation;
+      census(kind)  ((period, member count), ...) by enumeration: the
+                    least rotation power fixing each member;
+      fix_closed(d) from a formula, the members fixed by a rotation power
+                    of order d > 1 (d divides the order).
+    """
+
+    guard_limit = 10
+
+    def __init_subclass__(cls, name: "str | None" = None,
+                          guard: "int | None" = None, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.name, cls.guard_limit = name, guard
-        FAMILIES[name] = cls
+        if guard is not None:
+            cls.guard_limit = guard
+        if name is not None:
+            cls.name = name
+            FAMILIES[name] = cls
 
     @property
     def word_length(self) -> int:
@@ -306,43 +372,127 @@ def family_from_descriptor(d: dict):
     return cls(*(d[name] for name in family_fields(cls)))
 
 
+class _PlaneTrees(Family):
+    """Plane trees with n edges.  A member has the stats the family
+    `admits`, and its root corner is one that `kind` visits: the root
+    constraint is the kind, and the rotation order follows from it."""
+
+    kind = ORDINARY
+
+    def members(self):
+        """In lexicographic word order."""
+        groups = [words for st, words in _words_by_stats(self.n).items()
+                  if self.admits(st)]
+        words = groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
+        for word in words:
+            yield PlaneTree(word)
+
+    def census(self, kind: RotationKind):
+        from . import rotations  # which imports this module
+        return rotations._period_census(self, kind)
+
+    def order(self, kind: RotationKind) -> int:
+        """2n for the ordinary rotation, which acts on any word; else the
+        number of corners the kind visits, which is the same in every member."""
+        if kind.name == "ordinary":
+            return 2 * self.n
+        if kind != self.kind and not (kind == LEAF and self.kind == degree_kind(1)):
+            raise IncompatibleKind(f"{kind} does not act on {self}")
+        if kind.name == "degree":
+            return kind.delta * self.degrees[kind.delta - 1]
+        order = self.leaves if kind == LEAF else 2 * self.n - self.leaves
+        if order < 0:
+            raise ValueError(f"{self}: the {kind} rotation would have the "
+                             f"negative order {order}")
+        return order
+
+
 @dataclasses.dataclass(frozen=True)
-class AllTrees(Family, name="all_trees"):
+class AllTrees(_PlaneTrees, name="all_trees"):
     n: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
+    def admits(self, st: TreeStats) -> bool:
+        return True
+
+    def members(self):
+        for word in _dyck_words(self.n):
+            t = PlaneTree(word)
+            if self.admits(stats(t)):
+                yield t
+
+    def count(self) -> int:
+        return catalan(self.n)
+
+    def fix_closed(self, d: int) -> int:
+        n = self.n
+        if d == 2 and n % 2 == 1:
+            return comb(n, (n + 1) // 2)
+        return comb(2 * n // d, n // d) if n % d == 0 else 0
+
 
 @dataclasses.dataclass(frozen=True)
-class ByLeaves(Family, name="by_leaves"):
+class _ByLeafCount(_PlaneTrees):
+    """Trees with n edges and k leaves.  The count is the number of
+    corners `kind` visits times C(n-1, k-2) C(n, k) / (n (n-1)), and the
+    fixed points have the same shape."""
     n: int
     k: int
 
     def __post_init__(self):
         _check_sizes(self, "n")
 
+    @property
+    def leaves(self) -> int:
+        return self.k
 
-@dataclasses.dataclass(frozen=True)
-class LeafRooted(Family, name="leaf_rooted"):
-    n: int
-    k: int
+    def admits(self, st: TreeStats) -> bool:
+        return st.leaves == self.k and self.kind.eligible(st.root_degree)
 
-    def __post_init__(self):
-        _check_sizes(self, "n")
+    def count(self) -> int:
+        n, k = self.n, self.k
+        if n <= 1:  # the bare node has no leaves; '()' has two, one at the root
+            return int(k == 2 * n and self.kind.eligible(n))
+        if not 2 <= k <= n + 1:
+            return 0
+        return _as_int(self.order(self.kind) * comb(n - 1, k - 2) * comb(n, k),
+                       n * (n - 1))
+
+    def fix_closed(self, d: int) -> int:
+        n, k = self.n, self.k
+        if n <= 1 or not 2 <= k <= n + 1:  # at most one member, fixed by all
+            return self.count()
+        if d == 2 and n % 2 == 1:
+            if k % 2:
+                return 0
+            h = (n - 1) // 2
+            part, den = comb(h, k // 2 - 1) * comb(h, k // 2), n - 1
+        elif n % d == 0 and k % d == 0:
+            part, den = comb(n // d - 1, k // d - 1) * comb(n // d, k // d), n
+        else:
+            return 0
+        return _as_int(self.order(self.kind) * part, den)
 
 
-@dataclasses.dataclass(frozen=True)
-class InternalRooted(Family, name="internal_rooted"):
-    n: int
-    k: int
+class ByLeaves(_ByLeafCount, name="by_leaves"):
+    pass
 
-    def __post_init__(self):
-        _check_sizes(self, "n")
+
+class LeafRooted(_ByLeafCount, name="leaf_rooted"):
+    kind = LEAF
+
+
+class InternalRooted(_ByLeafCount, name="internal_rooted"):
+    kind = INTERNAL
 
 
 @dataclasses.dataclass(frozen=True, init=False)
-class ByDegrees(Family, name="by_degrees", guard=9):
+class _ByDegreeCounts(_PlaneTrees, guard=9):
+    """Trees with degrees[i-1] nodes of degree i.  The count is the number
+    of corners `kind` visits times (n-1)! / prod(n_i!), and the fixed
+    points have the same shape."""
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
@@ -352,71 +502,65 @@ class ByDegrees(Family, name="by_degrees", guard=9):
     def n(self) -> int:
         return _degrees_edge_count(self.degrees)
 
-
-@dataclasses.dataclass(frozen=True, init=False)
-class LeafRootedDeg(Family, name="leaf_rooted_deg", guard=9):
-    degrees: tuple[int, ...]
-
-    def __init__(self, degrees):
-        object.__setattr__(self, "degrees", _normalize_degrees(degrees))
-
     @property
-    def n(self) -> int:
-        return _degrees_edge_count(self.degrees)
+    def leaves(self) -> int:
+        return self.degrees[0]
+
+    def admits(self, st: TreeStats) -> bool:
+        return st.degrees == self.degrees and self.kind.eligible(st.root_degree)
+
+    def members(self):
+        if _degrees_feasible(self.degrees):
+            yield from super().members()
+
+    def count(self) -> int:
+        if not _degrees_feasible(self.degrees):
+            return 0
+        return _as_int(self.order(self.kind) * factorial(self.n - 1),
+                       prod(map(factorial, self.degrees)))
+
+    def fix_closed(self, d: int) -> int:
+        degrees, n = self.degrees, self.n
+        if not _degrees_feasible(degrees):
+            return 0
+        if d == 2 and all(c % 2 == 0 for c in degrees):
+            part = _multinomial((n + 1) // 2, [c // 2 for c in degrees])
+            den = n + 1
+        else:
+            ell = _single_offset_class(degrees, d)
+            if ell is None or n % d:
+                return 0
+            parts = [c // d for c in degrees]
+            parts[ell - 1] = (degrees[ell - 1] - 1) // d
+            part, den = _multinomial(n // d, parts), n
+        return _as_int(self.order(self.kind) * part, den)
+
+
+class ByDegrees(_ByDegreeCounts, name="by_degrees"):
+    pass
+
+
+class LeafRootedDeg(_ByDegreeCounts, name="leaf_rooted_deg"):
+    kind = degree_kind(1)
+
+
+class InternalRootedDeg(_ByDegreeCounts, name="internal_rooted_deg"):
+    kind = INTERNAL
 
 
 @dataclasses.dataclass(frozen=True, init=False)
-class InternalRootedDeg(Family, name="internal_rooted_deg", guard=9):
-    degrees: tuple[int, ...]
-
-    def __init__(self, degrees):
-        object.__setattr__(self, "degrees", _normalize_degrees(degrees))
-
-    @property
-    def n(self) -> int:
-        return _degrees_edge_count(self.degrees)
-
-
-@dataclasses.dataclass(frozen=True, init=False)
-class RootDegree(Family, name="root_degree", guard=9):
-    degrees: tuple[int, ...]
+class RootDegree(_ByDegreeCounts, name="root_degree"):
     delta: int
 
     def __init__(self, degrees, delta: int):
-        degrees = _normalize_degrees(degrees)
-        if delta < 1 or delta > len(degrees) or degrees[delta - 1] == 0:
-            raise ValueError(f"no node of degree {delta} in {degrees}")
-        object.__setattr__(self, "degrees", degrees)
+        super().__init__(degrees)
+        if delta < 1 or delta > len(self.degrees) or self.degrees[delta - 1] == 0:
+            raise ValueError(f"no node of degree {delta} in {self.degrees}")
         object.__setattr__(self, "delta", delta)
 
     @property
-    def n(self) -> int:
-        return _degrees_edge_count(self.degrees)
-
-
-TreeFamily = (AllTrees | ByLeaves | LeafRooted | InternalRooted
-              | ByDegrees | LeafRootedDeg | InternalRootedDeg | RootDegree)
-
-
-def _member_predicate(family: TreeFamily):
-    if isinstance(family, AllTrees):
-        return lambda st: True
-    if isinstance(family, ByLeaves):
-        return lambda st: st.leaves == family.k
-    if isinstance(family, LeafRooted):
-        return lambda st: st.leaves == family.k and st.root_degree == 1
-    if isinstance(family, InternalRooted):
-        return lambda st: st.leaves == family.k and st.root_degree >= 2
-    if isinstance(family, ByDegrees):
-        return lambda st: st.degrees == family.degrees
-    if isinstance(family, LeafRootedDeg):
-        return lambda st: st.degrees == family.degrees and st.root_degree == 1
-    if isinstance(family, InternalRootedDeg):
-        return lambda st: st.degrees == family.degrees and st.root_degree >= 2
-    if isinstance(family, RootDegree):
-        return lambda st: (st.degrees == family.degrees
-                           and st.root_degree == family.delta)
-    raise TypeError(f"not a tree family: {family!r}")
+    def kind(self) -> RotationKind:
+        return degree_kind(self.delta)
 
 
 @functools.lru_cache(maxsize=32)
@@ -451,30 +595,17 @@ def _words_by_stats(n: int) -> dict[TreeStats, tuple[str, ...]]:
     return {st: tuple(words) for st, words in groups.items()}
 
 
-def enumerate_family(family: TreeFamily):
-    """Every member exactly once, in lexicographic word order."""
-    n = family.n
-    pred = _member_predicate(family)
-    if isinstance(family, AllTrees):
-        for word in _dyck_words(n):
-            t = PlaneTree(word)
-            if pred(stats(t)):
-                yield t
-        return
-    if isinstance(family, (ByDegrees, LeafRootedDeg, InternalRootedDeg, RootDegree)) \
-            and not _degrees_feasible(family.degrees):
-        return
-    groups = [words for st, words in _words_by_stats(n).items() if pred(st)]
-    words = groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
-    for word in words:
-        yield PlaneTree(word)
+def enumerate_family(family):
+    """Every member exactly once: `family.members()`."""
+    return family.members()
 
 
-def _as_int(x) -> int:
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ArithmeticError(f"formula gave non-integer {x}")
-    return int(x)
+def _as_int(num: int, den: int) -> int:
+    """num / den, which the formula at hand makes an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"formula gave non-integer {Fraction(num, den)}")
+    return q
 
 
 def catalan(n: int) -> int:
@@ -505,39 +636,9 @@ def _single_offset_class(degrees, d: int):
     return found
 
 
-def closed_count(family: TreeFamily) -> int:
-    """Exact count of the family; degenerate parameters fall back to enumeration."""
-    if isinstance(family, AllTrees):
-        return catalan(family.n)
-    if isinstance(family, (ByLeaves, LeafRooted, InternalRooted)):
-        n, k = family.n, family.k
-        if k < 2 or k > n + 1:
-            return 0
-        if n == 1:
-            return sum(1 for _ in enumerate_family(family))
-        if isinstance(family, ByLeaves):
-            return _as_int(Fraction(2, n - 1) * comb(n - 1, k - 2) * comb(n, k))
-        if isinstance(family, LeafRooted):
-            return _as_int(Fraction(1, n - 1) * comb(n - 1, k - 2) * comb(n - 1, k - 1))
-        return _as_int(Fraction(2 * n - k, n * (n - 1))
-                       * comb(n - 1, k - 2) * comb(n, k))
-    degrees = family.degrees
-    if not _degrees_feasible(degrees):
-        return 0
-    n = _degrees_edge_count(degrees)
-    denom = 1
-    for c in degrees:
-        denom *= factorial(c)
-    if isinstance(family, ByDegrees):
-        return _as_int(Fraction(2 * factorial(n), denom))
-    if isinstance(family, LeafRootedDeg):
-        return _as_int(Fraction(degrees[0] * factorial(n - 1), denom))
-    if isinstance(family, InternalRootedDeg):
-        return _as_int(Fraction((2 * n - degrees[0]) * factorial(n - 1), denom))
-    if isinstance(family, RootDegree):
-        return _as_int(Fraction(family.delta * degrees[family.delta - 1]
-                                * factorial(n - 1), denom))
-    raise TypeError(f"not a tree family: {family!r}")
+def closed_count(family) -> int:
+    """The exact count of the family: `family.count()`."""
+    return family.count()
 
 
 def degree_solutions(nodes: int, degree_sum: int) -> list[tuple[int, ...]]:

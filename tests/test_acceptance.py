@@ -16,7 +16,7 @@ from sieveforest.maps import (BT, NCM, TMDeg, TMij, TMn,
                               fix_count_maps, fix_count_maps_closed,
                               from_cubic, rotate_ncm, to_cubic)
 from sieveforest.qseries import eval_at_primitive_root
-from sieveforest.rotations import check_rotation_transfer, family_kind
+from sieveforest.rotations import check_rotation_transfer
 from sieveforest.trees import (AllTrees, MarkedTree, PlaneTree, _Parse,
                                catalan, degree_distributions, enumerate_family,
                                glue_halves, half_tree, matching,
@@ -240,7 +240,6 @@ class TestCriterion8:
         from sieveforest.trees import (ByDegrees, InternalRooted,
                                        InternalRootedDeg, LeafRooted,
                                        LeafRootedDeg, RootDegree)
-        from sieveforest.rotations import rotation_order
         for n in range(2, 9):
             fams = [LeafRooted(n, k) for k in range(2, n + 1)]
             fams += [InternalRooted(n, k) for k in range(2, n + 1)]
@@ -251,7 +250,7 @@ class TestCriterion8:
                     if c:
                         fams.append(RootDegree(degrees, delta))
             for fam in fams:
-                order = rotation_order(fam, family_kind(fam))
+                order = fam.order(fam.kind)
                 for e in range(1, order + 1):
                     if order % e == 0:
                         assert check_rotation_transfer(fam, e), (fam, e)

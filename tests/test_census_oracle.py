@@ -6,8 +6,9 @@ offsets and rotates once to confirm it.
 """
 from sieveforest import maps, rotations, trees
 from sieveforest.maps import BT, BTDeg, NCM, TMDeg, TMij, TMn
-from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, degree_kind,
-                                   rotate, rotation_order)
+from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, FixQuery,
+                                   degree_kind, fix_count_bruteforce,
+                                   fix_count_closed, rotate)
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
                                PlaneTree, RootDegree, degree_distributions,
@@ -53,12 +54,29 @@ def test_tree_census_matches_divisor_trial():
             if not members:
                 continue
             oracle = divisor_trial_census(
-                members, rotation_order(family, kind),
+                members, family.order(kind),
                 lambda t, p: rotate(t, kind, p))
             assert rotations._period_census(family, kind) == oracle, (family, kind)
             checked.add((type(family).__name__, kind.name))
     assert len({name for name, _ in checked}) == 8
     assert len(checked) == 14
+
+
+def test_closed_form_matches_census_for_every_kind():
+    """Every (family, kind) pair, the empty families included, at every
+    exponent.  An order that would be negative is refused, and only an
+    empty family can have one."""
+    for n in range(0, MAX_N + 1):
+        for family, kind in tree_families(n):
+            try:
+                order = family.order(kind)
+            except ValueError:
+                assert not list(enumerate_family(family)), (family, kind)
+                continue
+            for e in range(max(order, 1)):
+                query = FixQuery(family, kind, e)
+                assert fix_count_closed(query) == fix_count_bruteforce(query), \
+                    (family, kind, e)
 
 
 def map_families():
@@ -76,8 +94,7 @@ def map_families():
 def test_map_census_matches_divisor_trial():
     for family in map_families():
         oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
-                                      maps.rotation_order_maps(family),
-                                      maps._rotate_member)
+                                      family.order(), family.rotate)
         assert maps._map_period_census(family) == oracle, family
 
 
@@ -91,11 +108,11 @@ def test_btree_walk_census_matches_divisor_trial():
                 # reads as n = -1; its one member is the empty word of BT(0, 0)
                 family = BTDeg(b, degrees) if b + n else BT(0, 0)
                 oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
-                                              2 * n + b, maps._rotate_member)
+                                              2 * n + b, family.rotate)
                 assert got == oracle, (b, n, degrees)
             assert maps._map_period_census(BT(b, n)) == divisor_trial_census(
                 list(maps.enumerate_maps(BT(b, n))), 2 * n + b,
-                maps._rotate_member), (b, n)
+                BT(b, n).rotate), (b, n)
     assert maps._btdeg_census_all(0, 0) == {(): ((1, 1),)}
     assert maps._btdeg_census_all(-1, 2) == {}
     assert maps._btdeg_census_all(2, -1) == {}
@@ -103,7 +120,7 @@ def test_btree_walk_census_matches_divisor_trial():
 
 def test_btree_walk_past_255_letters_matches_closed_form():
     family = BT(254, 1)  # 256 letters: the offsets no longer fit in a byte
-    order = maps.rotation_order_maps(family)
+    order = family.order()
     for e in (0, 1, 2, 64, 128, 255):
         assert maps.fix_count_maps(family, e) == \
             maps.fix_count_maps_closed(family, e), e
@@ -121,6 +138,6 @@ def test_btree_distributions_are_the_census_keys():
 def test_enumeration_order_and_membership_unchanged():
     for n in range(0, MAX_N + 1):
         for family in {family for family, _ in tree_families(n)}:
-            pred = trees._member_predicate(family)
-            expected = [w for w in trees._dyck_words(n) if pred(stats(PlaneTree(w)))]
+            expected = [w for w in trees._dyck_words(n)
+                        if family.admits(stats(PlaneTree(w)))]
             assert [t.word for t in enumerate_family(family)] == expected, family

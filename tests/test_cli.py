@@ -58,6 +58,10 @@ class TestEnumerate:
         assert code == code2 == 0 and first == second
         assert len(first.splitlines()) == 14
 
+    def test_matchings_print_as_json_pairs(self, capsys):
+        code, out, _ = capture(capsys, ["enumerate", "--family", "ncm", "--j", "2"])
+        assert code == 0 and out == "[[0, 3], [1, 2]]\n[[0, 1], [2, 3]]\n"
+
 
 class TestVerify:
     def test_ord3_pass(self, capsys):
@@ -79,6 +83,7 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["overall"] is True and data["theorem"] == "ncm_rotation"
+        assert set(data) == {"theorem", "params", "rows", "overall", "seconds"}
 
     def test_fixtable_csv(self, capsys):
         code, out, _ = capture(capsys, ["fixtable", "--theorem", "ord", "--n",
@@ -186,12 +191,12 @@ class TestUsageErrors:
 INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")
 
 
-def run_quietly(argv) -> None:
-    """Run argv; it must exit 0 or 2 and print no traceback."""
+def run_quietly(argv, codes=(0, 2)) -> None:
+    """Run argv; it must exit with one of `codes` and print no traceback."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv)
-    assert code in (0, 2), argv
+    assert code in codes, argv
     assert "Traceback" not in err.getvalue()
 
 
@@ -232,6 +237,28 @@ def test_fuzzed_orbit_and_biject_exit_0_or_2(command, word, walk, kind, delta, t
         if value is not None:
             argv += [flag, str(value)]
     run_quietly(argv)
+
+
+# Free-form argv: tokens in any order and number.  The size guard is only
+# ever lowered (at most 4), since a raised guard admits enumerations of
+# millions of maps, which is what the guard is there to refuse.
+FREE_TOKENS = st.sampled_from(
+    ("enumerate", "count", "poly", "fixtable", "verify", "orbit", "biject",
+     "sumcheck", "batch", "--theorem", "--family", "--n", "--k", "--degrees",
+     "--delta", "--i", "--j", "--b", "--e", "--format", "--mode", "--word",
+     "--walk", "--kind", "--to", "--identity", "--help", "--bogus", "--",
+     *THEOREM_IDS, *FAMILY_NAMES, "json", "csv", "text", "all", "divisors",
+     "ordinary", "leaf", "internal", "degree", "ncm", "ncp", "dissection",
+     "cubic", "decompose", "refined_leaves", "chu_vandermonde_tm", "(()())",
+     "ENSW", "", "x", "1,,2", *map(str, range(-3, 9)))).map(lambda t: [t])
+SIZE_GUARDS = st.sampled_from(("", "x", "1,,2", *map(str, range(-3, 5)))).map(
+    lambda v: ["--size-guard", v])
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=st.lists(FREE_TOKENS | SIZE_GUARDS, max_size=12))
+def test_fuzzed_free_form_argv_exit_0_1_or_2(tokens):
+    run_quietly([t for token in tokens for t in token], codes=(0, 1, 2))
 
 
 class TestBatch:

@@ -13,7 +13,7 @@ from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               from_cubic, is_valid_walk_prefix,
                               map_fixed_via_parts,
                               rotate_btree, rotate_map, rotate_map_once_by_rule,
-                              rotate_ncm, rotation_order_maps, to_cubic)
+                              rotate_ncm, to_cubic)
 from sieveforest.trees import catalan, family_from_descriptor
 
 
@@ -94,7 +94,7 @@ class TestRotations:
 
     def test_rotation_order(self):
         for fam in (BT(2, 2), TMij(2, 1), NCM(3)):
-            order = rotation_order_maps(fam)
+            order = fam.order()
             for member in enumerate_maps(fam):
                 if isinstance(member, BTreeWord):
                     assert rotate_btree(member, order) == member
@@ -167,7 +167,7 @@ class TestFixCounts:
                 for degrees in btree_degree_distributions(2 * j, i):
                     fams.append(TMDeg(j, degrees))
         for fam in fams:
-            order = rotation_order_maps(fam)
+            order = fam.order()
             for e in range(0, 2 * order + 1):
                 assert fix_count_maps(fam, e) == fix_count_maps_closed(fam, e), \
                     (fam, e)

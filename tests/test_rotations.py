@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sieveforest import trees
 from sieveforest.rotations import (FixQuery, INTERNAL, IncompatibleKind, LEAF,
                                    NoEligibleCorner, ORDINARY,
                                    check_rotation_transfer, degree_kind,
-                                   family_kind, fix_count_bruteforce,
-                                   fix_count_closed, orbit, rotate,
-                                   rotation_order)
+                                   fix_count_bruteforce, fix_count_closed,
+                                   orbit, rotate)
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
                                PlaneTree, RootDegree, closed_count,
@@ -68,32 +68,61 @@ class TestRotate:
 
 class TestOrders:
     def test_order_values(self):
-        assert rotation_order(AllTrees(4), ORDINARY) == 8
-        assert rotation_order(LeafRooted(5, 3), LEAF) == 3
-        assert rotation_order(InternalRooted(5, 3), INTERNAL) == 7
-        assert rotation_order(RootDegree((2, 0, 2), 3), degree_kind(3)) == 6
+        assert AllTrees(4).order(ORDINARY) == 8
+        assert LeafRooted(5, 3).order(LEAF) == 3
+        assert InternalRooted(5, 3).order(INTERNAL) == 7
+        assert RootDegree((2, 0, 2), 3).order(degree_kind(3)) == 6
 
     def test_ordinary_acts_on_any_family(self):
-        assert rotation_order(ByLeaves(5, 3), ORDINARY) == 10
+        assert ByLeaves(5, 3).order(ORDINARY) == 10
 
     def test_incompatible_kind(self):
         with pytest.raises(IncompatibleKind):
-            rotation_order(LeafRooted(5, 3), INTERNAL)
+            LeafRooted(5, 3).order(INTERNAL)
+
+    def test_negative_order_is_refused(self):
+        # more leaves than corners: 2n - k < 0 internal corners
+        for fam in (InternalRooted(1, 3), InternalRooted(2, 6), InternalRooted(0, 2)):
+            with pytest.raises(ValueError, match=f"k={fam.k}"):
+                fam.order(INTERNAL)
 
 
 class TestFixCounts:
     def test_closed_matches_bruteforce(self):
         for n in range(1, 8):
             for fam in tree_families(n):
-                kind = family_kind(fam)
-                order = rotation_order(fam, kind)
+                kind = fam.kind
+                order = fam.order(kind)
                 for e in range(0, 2 * order + 1):
                     q = FixQuery(fam, kind, e)
                     assert fix_count_bruteforce(q) == fix_count_closed(q), (fam, e)
 
+    def test_one_edge_leaf_families(self, monkeypatch):
+        """At n = 1 the only tree, '()', has two leaves, one at its root, and
+        every power fixes it; counts and closed forms must not enumerate."""
+        for k in range(-1, 5):
+            for fam in (ByLeaves(1, k), LeafRooted(1, k), InternalRooted(1, k)):
+                members = list(enumerate_family(fam))
+                assert len(members) == (k == 2 and fam.kind != INTERNAL), fam
+                for kind in {ORDINARY, fam.kind}:
+                    try:
+                        order = fam.order(kind)
+                    except ValueError:
+                        assert k < 0 or k > 2, (fam, kind)
+                        continue
+                    for e in range(order + 1):
+                        query = FixQuery(fam, kind, e)
+                        assert fix_count_bruteforce(query) == len(members)
+                        with monkeypatch.context() as m:
+                            m.setattr(trees, "_dyck_words", None)
+                            m.setattr(trees, "_words_by_stats", None)
+                            assert fam.count() == len(members), fam
+                            assert fix_count_closed(query) == len(members), \
+                                (fam, kind, e)
+
     def test_e_zero_gives_family_count(self):
         for fam in (AllTrees(6), ByLeaves(6, 3), InternalRooted(6, 4)):
-            kind = family_kind(fam)
+            kind = fam.kind
             assert fix_count_closed(FixQuery(fam, kind, 0)) == closed_count(fam)
 
     def test_ord3_fix_vector(self):
@@ -114,10 +143,10 @@ class TestTransfer:
     def test_transfer_exhaustive(self):
         for n in range(2, 7):
             for fam in tree_families(n):
-                kind = family_kind(fam)
+                kind = fam.kind
                 if kind is ORDINARY:
                     continue
-                order = rotation_order(fam, kind)
+                order = fam.order(kind)
                 for e in range(1, order + 1):
                     if order % e == 0:
                         assert check_rotation_transfer(fam, e), (fam, e)
