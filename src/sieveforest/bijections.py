@@ -38,7 +38,7 @@ def tree_to_ncm(t: PlaneTree) -> NonCrossingMatching:
 
 
 def ncm_to_tree(m: NonCrossingMatching) -> PlaneTree:
-    return PlaneTree("".join("(" if p > i else ")" for i, p in enumerate(m.partner)))
+    return PlaneTree(m.word)
 
 
 def short_edge_count(m: NonCrossingMatching) -> int:
@@ -64,13 +64,12 @@ class NonCrossingPartition:
             if b not in relabel:
                 relabel[b] = len(relabel)
         assignment = tuple(relabel[b] for b in assignment)
-        for a in range(len(assignment)):
-            for b in range(a + 1, len(assignment)):
-                for c in range(b + 1, len(assignment)):
-                    for d in range(c + 1, len(assignment)):
-                        if assignment[a] == assignment[c] != assignment[b] == assignment[d]:
-                            raise ValueError(f"crossing blocks in {assignment}")
         object.__setattr__(self, "assignment", assignment)
+        # blocks cross exactly when the arcs of their thickening do
+        try:
+            _thicken(self)
+        except ValueError:
+            raise ValueError(f"crossing blocks in {assignment}") from None
 
     @property
     def n(self) -> int:
@@ -186,15 +185,8 @@ def tree_to_dissection(t: PlaneTree) -> Dissection:
     if size == 2:
         raise ValueError("dissection correspondence needs an internal vertex")
     # children count per opening position (the vertex an edge opens into)
-    children = {o: 0 for o in range(size) if word[o] == "("}
-    stack: list[int] = [-1]
-    for o in range(size):
-        if word[o] == "(":
-            if stack[-1] >= 0:
-                children[stack[-1]] += 1
-            stack.append(o)
-        else:
-            stack.pop()
+    children = {parse.first_corner[k] - 1: len(parse.children[k])
+                for k in range(1, parse.node_count)}
     leaves = [o for o in range(size) if word[o] == "(" and children[o] == 0]
     k = len(leaves) + 1  # plus the root leaf
     index_after = lambda pos: sum(1 for o in leaves if o < pos)

@@ -2,12 +2,14 @@
 
 Subcommands: enumerate, count, poly, fixtable, verify, orbit, biject,
 sumcheck, batch.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  Output format is selected with --format json|csv|text (default text).
+error or output that cannot be written.  Output format is selected with
+--format json|csv|text (default text).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections, csp, maps, rotations, trees
@@ -37,6 +39,16 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required here")
+
+
+def _word_arg(args, name: str) -> str:
+    """The required --word or --walk, refused above csp.MAX_WORD_LENGTH."""
+    _require(args, name)
+    text = getattr(args, name)
+    if len(text) > csp.MAX_WORD_LENGTH:
+        raise UsageError(f"--{name} has {len(text)} letters; at most "
+                         f"MAX_WORD_LENGTH = {csp.MAX_WORD_LENGTH} are accepted")
+    return text
 
 
 def _params(args, family_cls) -> dict:
@@ -101,59 +113,55 @@ def _report(args):
                             exponents=exponents)
 
 
-def _fix_csv(inst, report) -> list[str]:
-    fam = json.dumps(inst.family.descriptor())
-    kind = inst.kind.name if inst.kind is not None else "map"
-    lines = ["family,kind,e,d,brute,closed,poly,agree"]
-    for r in report.rows:
-        lines.append(f"{fam!r},{kind},{r['e']},{r['d']},{r['brute']},"
-                     f"{r['closed']},{r['poly_value']},{r['agree']}")
-    return lines
+def _emit_report(args, inst, report, text_lines) -> None:
+    """fixtable and verify: the report as json or csv, else the text lines."""
+    if args.format == "json":
+        print(report.to_json())
+        return
+    if args.format == "csv":
+        fam = json.dumps(inst.family.descriptor())
+        kind = inst.kind.name if inst.kind is not None else "map"
+        text_lines = ["family,kind,e,d,brute,closed,poly,agree"]
+        for r in report.rows:
+            text_lines.append(f"{fam!r},{kind},{r['e']},{r['d']},{r['brute']},"
+                              f"{r['closed']},{r['poly_value']},{r['agree']}")
+    print("\n".join(text_lines))
 
 
 def _cmd_fixtable(args) -> int:
     inst, report = _report(args)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print("\n".join(_fix_csv(inst, report)))
-    else:
-        print(f"theorem {inst.theorem}, order {inst.order}")
-        for r in report.rows:
-            print(f"e={r['e']:>3}  d={r['d']:>3}  brute={r['brute']:>8}  "
-                  f"closed={r['closed']:>8}  poly={r['poly_value']:>8}  "
-                  f"{'ok' if r['agree'] else 'MISMATCH'}")
+    lines = [f"theorem {inst.theorem}, order {inst.order}"]
+    for r in report.rows:
+        lines.append(f"e={r['e']:>3}  d={r['d']:>3}  brute={r['brute']:>8}  "
+                     f"closed={r['closed']:>8}  poly={r['poly_value']:>8}  "
+                     f"{'ok' if r['agree'] else 'MISMATCH'}")
+    _emit_report(args, inst, report, lines)
     return 0
 
 
 def _cmd_verify(args) -> int:
     inst, report = _report(args)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        print("\n".join(_fix_csv(inst, report)))
-    else:
-        counts = ",".join(str(r["brute"]) for r in report.rows)
-        verdict = "PASS" if report.overall else "FAIL"
-        print(f"{verdict} {inst.theorem} {inst.params} fixes=({counts})")
-        if not report.overall:
-            for r in report.rows:
-                if not r["agree"]:
-                    print(f"  e={r['e']} d={r['d']}: brute={r['brute']} "
-                          f"closed={r['closed']} poly={r['poly_value']}")
+    counts = ",".join(str(r["brute"]) for r in report.rows)
+    verdict = "PASS" if report.overall else "FAIL"
+    lines = [f"{verdict} {inst.theorem} {inst.params} fixes=({counts})"]
+    for r in report.rows:
+        if not r["agree"]:
+            lines.append(f"  e={r['e']} d={r['d']}: brute={r['brute']} "
+                         f"closed={r['closed']} poly={r['poly_value']}")
+    _emit_report(args, inst, report, lines)
     return 0 if report.overall else 1
 
 
 def _cmd_orbit(args) -> int:
     if args.walk is not None:
-        mp = maps.TreeRootedMap(args.walk)
+        mp = maps.TreeRootedMap(_word_arg(args, "walk"))
         members = [mp]
         cur = maps.rotate_map(mp, 1)
         while cur != mp:
             members.append(cur)
             cur = maps.rotate_map(cur, 1)
     else:
-        _require(args, "word")
+        word = _word_arg(args, "word")
         kinds = {"ordinary": rotations.ORDINARY, "leaf": rotations.LEAF,
                  "internal": rotations.INTERNAL}
         if args.kind == "degree":
@@ -163,7 +171,7 @@ def _cmd_orbit(args) -> int:
             kind = kinds.get(args.kind or "ordinary")
             if kind is None:
                 raise UsageError(f"unknown rotation kind {args.kind!r}")
-        members = rotations.orbit(trees.PlaneTree(args.word), kind)
+        members = rotations.orbit(trees.PlaneTree(word), kind)
     members = [str(m) for m in members]
     _emit(args, members, members)
     return 0
@@ -172,21 +180,20 @@ def _cmd_orbit(args) -> int:
 def _cmd_biject(args) -> int:
     target = args.to
     if target in ("ncm", "ncp", "dissection"):
-        _require(args, "word")
-        t = trees.PlaneTree(args.word)
+        t = trees.PlaneTree(_word_arg(args, "word"))
         if target == "ncm":
             payload = bijections.tree_to_ncm(t).pairs()
         elif target == "ncp":
             payload = bijections.tree_to_ncp(t).blocks()
         else:
             payload = bijections.tree_to_dissection(t).descriptor()
-    elif target == "cubic":
-        _require(args, "walk")
-        payload = maps.to_cubic(maps.TreeRootedMap(args.walk)).descriptor()
-    elif target == "decompose":
-        _require(args, "walk")
-        bt, m = maps.decompose(maps.TreeRootedMap(args.walk))
-        payload = {"btree": bt.word, "matching": m.pairs()}
+    elif target in ("cubic", "decompose"):
+        mp = maps.TreeRootedMap(_word_arg(args, "walk"))
+        if target == "cubic":
+            payload = maps.to_cubic(mp).descriptor()
+        else:
+            bt, m = maps.decompose(mp)
+            payload = {"btree": bt.word, "matching": m.pairs()}
     else:
         raise UsageError(f"unknown bijection target {args.to!r}")
     print(json.dumps(payload))
@@ -293,7 +300,18 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except OSError as exc:
+        # stdout is closed or full.  Point it at devnull, so that the flush
+        # at exit does not fail again; a closed pipe ends the run silently.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
 from collections.abc import Callable
 
@@ -165,29 +164,21 @@ def build_instance(theorem: str, **params) -> CspInstance:
 
 # Each letter of a member's word is one frame of the recursive enumerating
 # walks, so longer words would overflow the interpreter's recursion limit.
+# The command line's orbit and biject, whose cost grows as the square of
+# the word length, take no longer words either.
 MAX_WORD_LENGTH = 512
-
-
-def _guard_limit(family) -> int:
-    env = os.environ.get("SIEVE_FOREST_SIZE_GUARD")
-    if env is not None:
-        if not env.strip().isdecimal():
-            raise ValueError("SIEVE_FOREST_SIZE_GUARD must be a non-negative "
-                             f"integer, got {env!r}")
-        return int(env)
-    return family.guard_limit
 
 
 def check_size_guard(family, override: "int | None" = None) -> None:
     """Refuse a family too large to enumerate at desk scale.  Its size is
     half its word length (the edge count of a tree or map); words longer
     than MAX_WORD_LENGTH are refused whatever the guard."""
-    limit = override if override is not None else _guard_limit(family)
+    limit = override if override is not None else family.guard_limit
     size = (family.word_length + 1) // 2
     if size > limit:
         raise SizeGuardExceeded(
             f"size {size} of {family} exceeds guard {limit}; "
-            f"raise with --size-guard or SIEVE_FOREST_SIZE_GUARD")
+            f"raise with --size-guard")
     if family.word_length > MAX_WORD_LENGTH:
         raise SizeGuardExceeded(
             f"words of {family} have {family.word_length} letters; the "
@@ -211,13 +202,6 @@ class VerificationReport:
         return json.dumps({"theorem": self.theorem, "params": self.params,
                            "rows": self.rows, "overall": self.overall,
                            "seconds": self.seconds})
-
-    def to_csv(self) -> str:
-        lines = ["e,d,brute,closed,poly_value,agree"]
-        for r in self.rows:
-            lines.append(f"{r['e']},{r['d']},{r['brute']},{r['closed']},"
-                         f"{r['poly_value']},{r['agree']}")
-        return "\n".join(lines)
 
 
 def _row(instance: CspInstance, e: int) -> dict:

@@ -9,9 +9,11 @@ buds; the word is the canonical form, the decomposition is derived.
 Rotation moves the root corner one corner counterclockwise; on the word this
 is the rewriting a w1 a' w2 -> w1 a w2 a' (a' the letter closing the leading
 letter a within its own E/W or N/S class).  Iterating the rewriting is the
-same as shifting all chord endpoints by -steps around the circle of 2n
-positions and re-reading the letters, which is how multi-step rotation is
-implemented.
+same as shifting every arc end by -steps around the circle of 2n positions
+and re-reading the letters.  That is the re-rooting of the tour-word kernel
+in `trees`, which also re-roots plane trees; `rotate_map` and
+`rotate_btree` apply it to map and b-tree words, whose validation and arc
+pairing come from the same kernel.
 
 The six map families implement the `trees.Family` protocol.  Each has one
 rotation (its `kind` is None) of order `word_length`, rotates a member
@@ -27,31 +29,15 @@ import json
 from math import comb, gcd, prod
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
-from .trees import (Family, _as_int, _check_sizes, _multinomial,
-                    _normalize_degrees, _single_offset_class, arc_offsets,
+from .trees import (Family, _as_int, _btree_words, _check_sizes,
+                    _multinomial, _normalize_degrees, _reroot,
+                    _single_offset_class, _validate_word, arc_offsets,
                     catalan, cyclic_period, degree_distribution,
-                    degree_solutions, node_degrees, period_census)
+                    degree_solutions, matching, node_degrees, period_census)
 
 
 class SizeMismatch(ValueError):
     """Matching size does not equal the bud count."""
-
-
-def _class_matching(word: str, openers: str, closers: str) -> dict[int, int]:
-    """Parenthesis matching restricted to one letter class; position -> position."""
-    out: dict[int, int] = {}
-    stack: list[int] = []
-    for i, ch in enumerate(word):
-        if ch in openers:
-            stack.append(i)
-        elif ch in closers:
-            if not stack:
-                raise ValueError(f"unbalanced {closers!r} in {word!r}")
-            j = stack.pop()
-            out[i], out[j] = j, i
-    if stack:
-        raise ValueError(f"unbalanced {openers!r} in {word!r}")
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,18 +47,7 @@ class BTreeWord:
     word: str = ""
 
     def __post_init__(self):
-        depth = 0
-        for ch in self.word:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ValueError(f"unbalanced b-tree word {self.word!r}")
-            elif ch != "b":
-                raise ValueError(f"bad symbol {ch!r} in b-tree word")
-        if depth != 0:
-            raise ValueError(f"unbalanced b-tree word {self.word!r}")
+        _validate_word(self.word, "()b")
 
     @property
     def buds(self) -> int:
@@ -99,11 +74,15 @@ class NonCrossingMatching:
         for i, j in enumerate(partner):
             if not 0 <= j < size or j == i or partner[j] != i:
                 raise ValueError(f"not an involution without fixed points: {partner}")
-        for p in range(size):
-            for r in range(p + 1, partner[p]):
-                if p < r < partner[p] < partner[r]:
-                    raise ValueError(f"crossing arcs in {partner}")
         object.__setattr__(self, "partner", partner)
+        # the matcher pairs the word's arcs without crossings
+        if matching(self.word) != partner:
+            raise ValueError(f"crossing arcs in {partner}")
+
+    @property
+    def word(self) -> str:
+        """The tour word: '(' at the first end of each arc, ')' at the second."""
+        return "".join(["(" if p > i else ")" for i, p in enumerate(self.partner)])
 
     @property
     def j(self) -> int:
@@ -133,22 +112,8 @@ class TreeRootedMap:
     word: str = ""
 
     def __post_init__(self):
-        x = y = 0
-        for ch in self.word:
-            if ch == "E":
-                x += 1
-            elif ch == "W":
-                x -= 1
-            elif ch == "N":
-                y += 1
-            elif ch == "S":
-                y -= 1
-            else:
-                raise ValueError(f"bad step {ch!r} in walk word")
-            if x < 0 or y < 0:
-                raise ValueError(f"walk {self.word!r} leaves the quadrant")
-        if x or y:
-            raise ValueError(f"walk {self.word!r} does not return to the origin")
+        # a quadrant excursion: E/W and N/S are each balanced
+        _validate_word(self.word, "EWNS")
 
     @property
     def i(self) -> int:
@@ -166,19 +131,6 @@ class TreeRootedMap:
 
     def __str__(self) -> str:
         return self.word
-
-
-def is_valid_walk_prefix(text: str) -> bool:
-    """Whether text extends to a quadrant excursion (never dips below axes)."""
-    x = y = 0
-    for ch in text:
-        if ch not in "ENWS":
-            return False
-        x += {"E": 1, "W": -1}.get(ch, 0)
-        y += {"N": 1, "S": -1}.get(ch, 0)
-        if x < 0 or y < 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +350,6 @@ class NCM(_Maps, name="ncm", guard=5):
     def rotate(self, member, steps: int):
         return rotate_ncm(member, steps)
 
-    def period(self, member) -> int:
-        size = len(member.partner)
-        return cyclic_period("".join([chr((p - i) % size)
-                                      for i, p in enumerate(member.partner)]))
-
     def members(self):
         yield from _ncm_list(self.j)
 
@@ -417,35 +364,8 @@ class NCM(_Maps, name="ncm", guard=5):
 
 
 @functools.lru_cache(maxsize=None)
-def _btree_words(b: int, n: int) -> tuple[str, ...]:
-    """All b-tree words with n edges and b buds, lexicographic ('(' < ')' < 'b')."""
-    out: list[str] = []
-
-    def rec(prefix: list[str], opened: int, closed: int, buds: int) -> None:
-        if opened == n and closed == n and buds == b:
-            out.append("".join(prefix))
-            return
-        if opened < n:
-            prefix.append("(")
-            rec(prefix, opened + 1, closed, buds)
-            prefix.pop()
-        if closed < opened:
-            prefix.append(")")
-            rec(prefix, opened, closed + 1, buds)
-            prefix.pop()
-        if buds < b:
-            prefix.append("b")
-            rec(prefix, opened, closed, buds + 1)
-            prefix.pop()
-
-    rec([], 0, 0, 0)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
 def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
-    from .trees import _dyck_words, matching as tree_matching
-    return tuple(NonCrossingMatching(tree_matching(w)) for w in _dyck_words(j))
+    return tuple(NonCrossingMatching(matching(w)) for w in _btree_words(0, j))
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
@@ -469,16 +389,8 @@ def decompose(mp: TreeRootedMap) -> tuple[BTreeWord, NonCrossingMatching]:
     word = mp.word
     btree = BTreeWord(word.replace("E", "(").replace("W", ")")
                       .replace("N", "b").replace("S", "b"))
-    buds = [ch for ch in word if ch in "NS"]
-    partner = [0] * len(buds)
-    stack: list[int] = []
-    for p, ch in enumerate(buds):
-        if ch == "N":
-            stack.append(p)
-        else:
-            q = stack.pop()
-            partner[p], partner[q] = q, p
-    return btree, NonCrossingMatching(partner)
+    buds = "".join([ch for ch in word if ch in "NS"])
+    return btree, NonCrossingMatching(matching(buds))
 
 
 # ---------------------------------------------------------------------------
@@ -487,22 +399,8 @@ def decompose(mp: TreeRootedMap) -> tuple[BTreeWord, NonCrossingMatching]:
 
 def rotate_map(mp: TreeRootedMap, steps: int = 1) -> TreeRootedMap:
     """Root-corner rotation; `steps` iterations of a w1 a' w2 -> w1 a w2 a'."""
-    word = mp.word
-    size = len(word)
-    if size == 0:
-        return mp
-    s = (-steps) % size
-    if s == 0:
-        return mp
-    out = [""] * size
-    for cls, (op, cl) in (("EW", ("E", "W")), ("NS", ("N", "S"))):
-        pairs = _class_matching(word, cls[0], cls[1])
-        for a, bpos in pairs.items():
-            if a < bpos:
-                x, y = (a + s) % size, (bpos + s) % size
-                out[min(x, y)] = op
-                out[max(x, y)] = cl
-    return TreeRootedMap("".join(out))
+    word = _reroot(mp.word, -steps)
+    return mp if word == mp.word else TreeRootedMap(word)
 
 
 def rotate_map_once_by_rule(mp: TreeRootedMap) -> TreeRootedMap:
@@ -511,30 +409,14 @@ def rotate_map_once_by_rule(mp: TreeRootedMap) -> TreeRootedMap:
     if not word:
         return mp
     a = word[0]
-    cls = "EW" if a in "EW" else "NS"
-    close = _class_matching(word, cls[0], cls[1])[0]
+    close = matching(word)[0]
     return TreeRootedMap(word[1:close] + a + word[close + 1:] + word[close])
 
 
 def rotate_btree(bt: BTreeWord, steps: int = 1) -> BTreeWord:
     """Same rotation on b-tree words; a leading bud simply moves to the end."""
-    word = bt.word
-    size = len(word)
-    if size == 0:
-        return bt
-    s = (-steps) % size
-    if s == 0:
-        return bt
-    out = [""] * size
-    for p, ch in enumerate(word):
-        if ch == "b":
-            out[(p + s) % size] = "b"
-    for a, bpos in _class_matching(word, "(", ")").items():
-        if a < bpos:
-            x, y = (a + s) % size, (bpos + s) % size
-            out[min(x, y)] = "("
-            out[max(x, y)] = ")"
-    return BTreeWord("".join(out))
+    word = _reroot(bt.word, -steps)
+    return bt if word == bt.word else BTreeWord(word)
 
 
 def rotate_ncm(m: NonCrossingMatching, steps: int = 1) -> NonCrossingMatching:
@@ -715,8 +597,9 @@ class CubicHamiltonianMap:
 
 def to_cubic(mp: TreeRootedMap) -> CubicHamiltonianMap:
     word = mp.word
-    inner = [(a, b) for a, b in _class_matching(word, "E", "W").items() if a < b]
-    outer = [(a, b) for a, b in _class_matching(word, "N", "S").items() if a < b]
+    arcs = [(a, b) for a, b in enumerate(matching(word)) if a < b]
+    inner = [(a, b) for a, b in arcs if word[a] == "E"]
+    outer = [(a, b) for a, b in arcs if word[a] == "N"]
     return CubicHamiltonianMap(mp.n, inner, outer, 0)
 
 

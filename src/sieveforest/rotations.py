@@ -32,24 +32,25 @@ class NoEligibleCorner(ValueError):
 
 
 def rotate(tree: PlaneTree, kind: RotationKind, steps: int) -> PlaneTree:
-    """Apply the rotation `steps` times (negative steps invert)."""
-    if kind.name == "ordinary":
-        return PlaneTree(shift_root(tree.word, steps))
-    p = trees._Parse(tree.word)
-    size = len(tree.word)
-    eligible = [c for c in range(size)
-                if kind.eligible(p.degree[p.node_at_corner[c]])]
-    if not eligible or eligible[0] != 0:
-        raise NoEligibleCorner(
-            f"root corner of {tree} is not a {kind} corner")
-    k = len(eligible)
-    r = steps % k
-    if r == 0:
-        return tree
-    # One step of the restricted rotation re-roots at the nearest eligible
-    # corner in rotation order, i.e. the largest eligible tour position.
-    target = eligible[(k - r) % k]
-    return PlaneTree(shift_root(tree.word, size - target))
+    """Apply the rotation `steps` times (negative steps invert).  A rotation
+    that gives back the same word returns `tree` itself."""
+    if kind.name != "ordinary":
+        p = trees._Parse(tree.word)
+        size = len(tree.word)
+        eligible = [c for c in range(size)
+                    if kind.eligible(p.degree[p.node_at_corner[c]])]
+        if not eligible or eligible[0] != 0:
+            raise NoEligibleCorner(
+                f"root corner of {tree} is not a {kind} corner")
+        k = len(eligible)
+        if steps % k == 0:
+            return tree
+        # One step of the restricted rotation re-roots at the nearest
+        # eligible corner in rotation order, i.e. the largest eligible tour
+        # position.
+        steps = size - eligible[-steps % k]
+    word = shift_root(tree.word, steps)
+    return tree if word == tree.word else PlaneTree(word)
 
 
 def orbit(tree: PlaneTree, kind: RotationKind) -> list[PlaneTree]:

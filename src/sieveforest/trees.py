@@ -5,12 +5,17 @@ corner: '(' when an edge is traversed for the first time, ')' on the way back.
 Corner t (0 <= t < 2n) is the corner visited just before letter t; the root
 corner is corner 0.  Equality, hashing and ordering are word-based.
 
-The module provides the rotation kinds (`RotationKind`: which corners a
-rotation visits), the `Family` protocol that every family of the package
-implements, the eight plane-tree families, the tree center, and the two
-structural surgeries used to classify trees fixed by a power of the
-rotation: cutting the central edge (half_tree / glue_halves) and keeping a
-1/d sector around the central vertex (sector / replicate_sector).
+The module holds the tour-word kernel that the tree, b-tree and map words
+all share: one validator (`_validate_word`, given the alphabet), one arc
+matcher (`_pair_offsets`, read as partners by `matching` and as a period
+key by `arc_offsets`) and one re-rooting (`_reroot`, behind `shift_root`
+here and the rotations of `maps`).  It also provides the rotation kinds
+(`RotationKind`: which corners a rotation visits), the `Family` protocol
+that every family of the package implements, the eight plane-tree
+families, the tree center, and the two structural surgeries used to
+classify trees fixed by a power of the rotation: cutting the central edge
+(half_tree / glue_halves) and keeping a 1/d sector around the central
+vertex (sector / replicate_sector).
 
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
@@ -46,19 +51,129 @@ class NotFixed(ValueError):
     """The tree is not fixed by the required rotation power."""
 
 
-def _validate_word(word: str) -> None:
-    depth = 0
+# ---------------------------------------------------------------------------
+# Tour words: the kernel of plane-tree, b-tree and tree-rooted map words
+
+# The letters of a tour word are arc ends of two classes: tree edges ('()'
+# or E/W) and non-tree edges (N/S); a bud ('b') is its own partner.  Each
+# alphabet gives its tree-edge, bud and non-tree-edge letters ("" if none).
+_ALPHABETS = {"()": ("(", ")", "", "", ""), "()b": ("(", ")", "b", "", ""),
+              "EWNS": ("E", "W", "", "N", "S")}
+
+
+def _validate_word(word: str, letters: str) -> None:
+    """Raise ValueError unless `word` is a tour word over `letters`, one of
+    the `_ALPHABETS`: both arc classes balanced, and no arc closed before it
+    is opened."""
+    edge_open, edge_close, bud, other_open, other_close = _ALPHABETS[letters]
+    edges = others = 0
     for ch in word:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced word {word!r}")
+        if ch == edge_open:
+            edges += 1
+        elif ch == edge_close:
+            edges -= 1
+            if edges < 0:
+                break
+        elif ch == bud:
+            pass
+        elif ch == other_open:
+            others += 1
+        elif ch == other_close:
+            others -= 1
+            if others < 0:
+                break
         else:
-            raise ValueError(f"bad symbol {ch!r} in tree word")
-    if depth != 0:
+            raise ValueError(f"bad symbol {ch!r} in word {word!r}")
+    if edges or others:
         raise ValueError(f"unbalanced word {word!r}")
+
+
+def _pair_offsets(word: str) -> list[int]:
+    """Pair the arc ends of a tour word within their class, and give each
+    position the distance forward along the tour (mod L) to the other end
+    of its arc.  An N/S arc adds L to keep it apart from E/W arcs; a bud,
+    its own partner, gets 0."""
+    size = len(word)
+    out = [0] * size
+    edges: list[int] = []   # open tree edges
+    others: list[int] = []  # open non-tree edges
+    for i, ch in enumerate(word):
+        if ch == "(" or ch == "E":
+            edges.append(i)
+        elif ch == ")" or ch == "W":
+            j = edges.pop()
+            out[j], out[i] = i - j, size - i + j
+        elif ch == "N":
+            others.append(i)
+        elif ch == "S":
+            j = others.pop()
+            out[j], out[i] = size + i - j, 2 * size - i + j
+    return out
+
+
+def matching(word: str) -> tuple[int, ...]:
+    """partner[i] = position of the other end of the arc at position i,
+    paired within its arc class; a bud is its own partner."""
+    size = len(word)
+    return tuple([(i + o) % size for i, o in enumerate(_pair_offsets(word))])
+
+
+def arc_offsets(word: str) -> bytes | str:
+    """The pairing as one symbol per tour position, whose cyclic period is
+    the word's: moving every arc end by s, which re-roots the word, shifts
+    this string cyclically by s.  Short words give bytes, longer ones a str
+    of chr(offset)."""
+    out = _pair_offsets(word)
+    return bytes(out) if 2 * len(word) <= 256 else "".join(map(chr, out))
+
+
+def _reroot(word: str, steps: int) -> str:
+    """Move every arc end by +steps (mod L) and read the letters again: the
+    word of the same object rooted `steps` corners further back.
+
+    Cutting the tour at L - steps and swapping the two pieces moves every
+    arc end; an arc that straddles the cut (opened before it, closed after)
+    now closes before it opens, so its two letters trade places.
+    """
+    size = len(word)
+    s = steps % size if size else 0
+    if s == 0:
+        return word
+    cut = size - s
+    offsets = _pair_offsets(word)
+    head, tail = list(word[:cut]), list(word[cut:])
+    for i in range(cut):
+        j = i + offsets[i] % size
+        if cut <= j < size:
+            head[i], tail[j - cut] = word[j], word[i]
+    return "".join(tail + head)
+
+
+@functools.lru_cache(maxsize=None)
+def _btree_words(b: int, n: int) -> tuple[str, ...]:
+    """All b-tree words with n edges and b buds, lexicographic ('(' < ')' <
+    'b'); with no buds, the plane-tree words with n edges."""
+    out: list[str] = []
+
+    def rec(prefix: list[str], opened: int, closed: int, buds: int) -> None:
+        if opened == n and closed == n and buds == b:
+            out.append("".join(prefix))
+            return
+        if opened < n:
+            prefix.append("(")
+            rec(prefix, opened + 1, closed, buds)
+            prefix.pop()
+        if closed < opened:
+            prefix.append(")")
+            rec(prefix, opened, closed + 1, buds)
+            prefix.pop()
+        if buds < b:
+            prefix.append("b")
+            rec(prefix, opened, closed, buds + 1)
+            prefix.pop()
+
+    rec([], 0, 0, 0)
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -66,7 +181,7 @@ class PlaneTree:
     word: str = ""
 
     def __post_init__(self):
-        _validate_word(self.word)
+        _validate_word(self.word, "()")
 
     @property
     def n(self) -> int:
@@ -75,47 +190,6 @@ class PlaneTree:
 
     def __str__(self) -> str:
         return self.word
-
-
-def matching(word: str) -> tuple[int, ...]:
-    """partner[i] = position of the other traversal of the edge at position i."""
-    partner = [0] * len(word)
-    stack: list[int] = []
-    for i, ch in enumerate(word):
-        if ch == "(":
-            stack.append(i)
-        else:
-            j = stack.pop()
-            partner[i], partner[j] = j, i
-    return tuple(partner)
-
-
-# Arc class of each opening and closing letter.  Plane-tree and b-tree words
-# use '(' and ')'; tree-rooted map words use E/W for tree edges and N/S for
-# the others.  Any other letter (a bud) belongs to no arc.
-_OPENERS = {"(": 0, "E": 0, "N": 1}
-_CLOSERS = {")": 0, "W": 0, "S": 1}
-
-
-def arc_offsets(word: str) -> str:
-    """One symbol per tour position: chr((partner - position) mod L).
-
-    An N/S arc adds L to keep it apart from E/W arcs; a bud gets chr(0).
-    Moving every arc endpoint by s, which re-roots the word, shifts this
-    string cyclically by s.
-    """
-    size = len(word)
-    out = [0] * size
-    stacks: tuple[list[int], list[int]] = ([], [])
-    for i, ch in enumerate(word):
-        if ch in _OPENERS:
-            stacks[_OPENERS[ch]].append(i)
-        elif ch in _CLOSERS:
-            cls = _CLOSERS[ch]
-            j = stacks[cls].pop()
-            out[j] = i - j + cls * size
-            out[i] = size - (i - j) + cls * size
-    return "".join(map(chr, out))
 
 
 def cyclic_period(symbols: str | bytes) -> int:
@@ -139,21 +213,8 @@ def period_census(members, period, rotate) -> tuple[tuple[int, int], ...]:
 
 
 def shift_root(word: str, steps: int) -> str:
-    """Move every arc endpoint of the edge matching by +steps (mod 2n).
-
-    This is the word of the same unrooted tree re-rooted at another corner.
-    """
-    size = len(word)
-    if size == 0:
-        return word
-    steps %= size
-    if steps == 0:
-        return word
-    partner = matching(word)
-    new_partner = [0] * size
-    for i, j in enumerate(partner):
-        new_partner[(i + steps) % size] = (j + steps) % size
-    return "".join("(" if p < new_partner[p] else ")" for p in range(size))
+    """The same tree re-rooted: every arc end moved by +steps (mod 2n)."""
+    return _reroot(word, steps)
 
 
 class _Parse:
@@ -418,7 +479,7 @@ class AllTrees(_PlaneTrees, name="all_trees"):
         return True
 
     def members(self):
-        for word in _dyck_words(self.n):
+        for word in _btree_words(0, self.n):
             t = PlaneTree(word)
             if self.admits(stats(t)):
                 yield t
@@ -564,33 +625,11 @@ class RootDegree(_ByDegreeCounts, name="root_degree"):
 
 
 @functools.lru_cache(maxsize=32)
-def _dyck_words(n: int) -> tuple[str, ...]:
-    """All balanced words of length 2n in lexicographic order ('(' < ')')."""
-    out: list[str] = []
-
-    def rec(prefix: list[str], opened: int, closed: int) -> None:
-        if opened == n and closed == n:
-            out.append("".join(prefix))
-            return
-        if opened < n:
-            prefix.append("(")
-            rec(prefix, opened + 1, closed)
-            prefix.pop()
-        if closed < opened:
-            prefix.append(")")
-            rec(prefix, opened, closed + 1)
-            prefix.pop()
-
-    rec([], 0, 0)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=32)
 def _words_by_stats(n: int) -> dict[TreeStats, tuple[str, ...]]:
-    """The words of _dyck_words(n) grouped by their stats, in one pass;
+    """The words of _btree_words(0, n) grouped by their stats, in one pass;
     each group keeps lexicographic order."""
     groups: dict[TreeStats, list[str]] = {}
-    for word in _dyck_words(n):
+    for word in _btree_words(0, n):
         groups.setdefault(stats(PlaneTree(word)), []).append(word)
     return {st: tuple(words) for st, words in groups.items()}
 
@@ -763,14 +802,11 @@ def glue_halves(marked: MarkedTree) -> PlaneTree:
 
 def _subtree_segments(chunk: str) -> list[str]:
     """Split a concatenation of balanced '(s)' segments."""
-    segs = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(chunk):
-        depth += 1 if ch == "(" else -1
-        if depth == 0:
-            segs.append(chunk[start:i + 1])
-            start = i + 1
+    partner = matching(chunk)
+    segs, start = [], 0
+    while start < len(chunk):
+        segs.append(chunk[start:partner[start] + 1])
+        start = partner[start] + 1
     return segs
 
 

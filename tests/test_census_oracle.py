@@ -138,6 +138,6 @@ def test_btree_distributions_are_the_census_keys():
 def test_enumeration_order_and_membership_unchanged():
     for n in range(0, MAX_N + 1):
         for family in {family for family, _ in tree_families(n)}:
-            expected = [w for w in trees._dyck_words(n)
+            expected = [w for w in trees._btree_words(0, n)
                         if family.admits(stats(PlaneTree(w)))]
             assert [t.word for t in enumerate_family(family)] == expected, family

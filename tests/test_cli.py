@@ -1,11 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sieveforest.cli import FAMILY_NAMES, run
 from sieveforest.csp import THEOREM_IDS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def capture(capsys, argv):
@@ -116,15 +123,6 @@ class TestVerify:
                                         "--size-guard", "ten"])
         assert code == 2 and "--size-guard" in err
 
-    def test_bad_size_guard_variable_is_a_usage_error(self, capsys, monkeypatch):
-        for value in ("abc", "-3", "2.5"):
-            monkeypatch.setenv("SIEVE_FOREST_SIZE_GUARD", value)
-            code, _, err = capture(capsys, ["verify", "--theorem", "ord", "--n", "3"])
-            assert code == 2 and "SIEVE_FOREST_SIZE_GUARD" in err, value
-        monkeypatch.setenv("SIEVE_FOREST_SIZE_GUARD", "3")
-        assert capture(capsys, ["verify", "--theorem", "ord", "--n", "3"])[0] == 0
-        assert capture(capsys, ["verify", "--theorem", "ord", "--n", "4"])[0] == 2
-
 
 class TestOrbitBiject:
     def test_orbit(self, capsys):
@@ -186,6 +184,47 @@ class TestUsageErrors:
             code, out, err = capture(capsys, argv)
             assert code == 2 and out == "", argv
             assert "at most 512" in err and "Traceback" not in err
+
+    def test_orbit_and_biject_words_past_the_limit_are_usage_errors(self, capsys):
+        # both grow as the square of the word length; 512 letters is the limit
+        for word, walk in (("()" * 256, "EW" * 256), ("()" * 257, "ENWS" * 129)):
+            for argv in (["orbit", "--word", word], ["orbit", "--walk", walk],
+                         ["biject", "--to", "ncp", "--word", word],
+                         ["biject", "--to", "decompose", "--walk", walk]):
+                code, out, err = capture(capsys, argv)
+                if len(argv[-1]) <= 512:
+                    assert code == 0 and err == "", argv[:-1]
+                else:
+                    assert code == 2 and out == "", argv[:-1]
+                    assert "MAX_WORD_LENGTH = 512" in err and "Traceback" not in err
+
+
+def run_cli_process(argv, **popen):
+    """The command line in a fresh interpreter, with this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.Popen([sys.executable, "-m", "sieveforest.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **popen)
+
+
+class TestUnwritableOutput:
+    def test_closed_pipe_ends_silently(self):
+        # the listing is far larger than a pipe buffer, so the writer meets
+        # the closed pipe while it is still writing
+        proc = run_cli_process(["enumerate", "--family", "all_trees", "--n", "10"],
+                               stdout=subprocess.PIPE)
+        assert proc.stdout.readline() == b"(" * 10 + b")" * 10 + b"\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2 and err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_one_error_line(self):
+        with open("/dev/full", "w") as full:
+            proc = run_cli_process(["count", "--family", "tm_n", "--n", "2"],
+                                   stdout=full)
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")

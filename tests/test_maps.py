@@ -10,7 +10,7 @@ from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               btree_degree_distributions, closed_count_maps,
                               compose, decompose, enumerate_maps,
                               fix_count_maps, fix_count_maps_closed,
-                              from_cubic, is_valid_walk_prefix,
+                              from_cubic,
                               map_fixed_via_parts,
                               rotate_btree, rotate_map, rotate_map_once_by_rule,
                               rotate_ncm, to_cubic)
@@ -38,10 +38,6 @@ class TestWordTypes:
             TreeRootedMap("WE")  # dips west of the axis
         with pytest.raises(ValueError):
             TreeRootedMap("EN")  # open walk
-
-    def test_walk_prefix(self):
-        assert is_valid_walk_prefix("ENWESNWE")
-        assert not is_valid_walk_prefix("S")
 
     def test_matching_validation(self):
         NonCrossingMatching((1, 0, 3, 2))
