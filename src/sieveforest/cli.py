@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: enumerate, count, poly, fixtable, verify, orbit, biject,
-sumcheck, batch.  Exit codes: 0 success, 1 verification failure, 2 usage
-error or output that cannot be written.  Output format is selected with
---format json|csv|text (default text).
+sumcheck, batch; each takes only the flags it reads, and the parameter
+flags are the fields of the families in `trees.FAMILIES`.  Exit codes: 0
+success, 1 verification failure, 2 usage error or output that cannot be
+written.  --format json|text (default text) selects the output, and csv
+too for fixtable and verify; biject always prints JSON.
 """
 from __future__ import annotations
 
@@ -15,6 +17,11 @@ import sys
 from . import bijections, csp, maps, rotations, trees
 
 FAMILY_NAMES = tuple(trees.FAMILIES)
+# The parameter flags: every family's fields, in order of first use.
+FIELDS = tuple(dict.fromkeys(name for cls in trees.FAMILIES.values()
+                             for name in trees.family_fields(cls)))
+ORBIT_KINDS = {"ordinary": rotations.ORDINARY, "leaf": rotations.LEAF,
+               "internal": rotations.INTERNAL}
 
 
 class UsageError(Exception):
@@ -25,7 +32,8 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"--degrees expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}")
 
 
 def _size_guard(text: str) -> int:
@@ -38,7 +46,7 @@ def _size_guard(text: str) -> int:
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required here")
+            raise UsageError(f"--{name} is required here")
 
 
 def _word_arg(args, name: str) -> str:
@@ -51,19 +59,21 @@ def _word_arg(args, name: str) -> str:
     return text
 
 
-def _params(args, family_cls) -> dict:
-    """The family's parameters from the flags of the same names, all required."""
-    degrees = _parse_degrees(args.degrees) if args.degrees is not None else None
+def _params(args, label: str, family_cls) -> dict:
+    """The family's parameters from the flags of the same names: each one
+    it takes is required, and any other parameter flag is refused."""
     names = trees.family_fields(family_cls)
+    extra = [f"--{f}" for f in FIELDS
+             if f not in names and getattr(args, f) is not None]
+    if extra:
+        raise UsageError(f"{label} takes {' '.join('--' + n for n in names)}, "
+                         f"not {' '.join(extra)}")
     _require(args, *names)
-    return {name: degrees if name == "degrees" else getattr(args, name)
-            for name in names}
+    return {name: getattr(args, name) for name in names}
 
 
 def _build_family(args):
-    if args.family is None:
-        raise UsageError("--family is required")
-    params = _params(args, trees.FAMILIES[args.family])
+    params = _params(args, args.family, trees.FAMILIES[args.family])
     return trees.family_from_descriptor({**params, "family": args.family})
 
 
@@ -91,9 +101,7 @@ def _cmd_count(args) -> int:
 
 
 def _instance(args):
-    if args.theorem is None:
-        raise UsageError("--theorem is required")
-    params = _params(args, csp.THEOREMS[args.theorem].family)
+    params = _params(args, args.theorem, csp.THEOREMS[args.theorem].family)
     return csp.build_instance(args.theorem, **params)
 
 
@@ -107,10 +115,9 @@ def _cmd_poly(args) -> int:
 
 def _report(args):
     inst = _instance(args)
-    mode = csp.ALL_EXPONENTS if args.mode == "all" else csp.DIVISORS
     exponents = [args.e] if args.e is not None else None
-    return inst, csp.verify(inst, mode, size_guard=args.size_guard,
-                            exponents=exponents)
+    return inst, csp.verify(inst, args.mode or csp.DIVISORS,
+                            size_guard=args.size_guard, exponents=exponents)
 
 
 def _emit_report(args, inst, report, text_lines) -> None:
@@ -154,6 +161,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_orbit(args) -> int:
     if args.walk is not None:
+        if args.kind is not None or args.delta is not None:
+            raise UsageError("--walk takes no --kind or --delta: a tree-rooted "
+                             "map has one rotation")
         mp = maps.TreeRootedMap(_word_arg(args, "walk"))
         members = [mp]
         cur = maps.rotate_map(mp, 1)
@@ -161,17 +171,12 @@ def _cmd_orbit(args) -> int:
             members.append(cur)
             cur = maps.rotate_map(cur, 1)
     else:
-        word = _word_arg(args, "word")
-        kinds = {"ordinary": rotations.ORDINARY, "leaf": rotations.LEAF,
-                 "internal": rotations.INTERNAL}
-        if args.kind == "degree":
-            _require(args, "delta")
-            kind = rotations.degree_kind(args.delta)
-        else:
-            kind = kinds.get(args.kind or "ordinary")
-            if kind is None:
-                raise UsageError(f"unknown rotation kind {args.kind!r}")
-        members = rotations.orbit(trees.PlaneTree(word), kind)
+        if (args.kind == "degree") != (args.delta is not None):
+            raise UsageError("--kind degree takes --delta, and no other kind does")
+        tree = trees.PlaneTree(_word_arg(args, "word"))
+        kind = (rotations.degree_kind(args.delta) if args.delta is not None
+                else ORBIT_KINDS[args.kind or "ordinary"])
+        members = rotations.orbit(tree, kind)
     members = [str(m) for m in members]
     _emit(args, members, members)
     return 0
@@ -187,21 +192,18 @@ def _cmd_biject(args) -> int:
             payload = bijections.tree_to_ncp(t).blocks()
         else:
             payload = bijections.tree_to_dissection(t).descriptor()
-    elif target in ("cubic", "decompose"):
+    else:
         mp = maps.TreeRootedMap(_word_arg(args, "walk"))
         if target == "cubic":
             payload = maps.to_cubic(mp).descriptor()
         else:
             bt, m = maps.decompose(mp)
             payload = {"btree": bt.word, "matching": m.pairs()}
-    else:
-        raise UsageError(f"unknown bijection target {args.to!r}")
     print(json.dumps(payload))
     return 0
 
 
 def _cmd_sumcheck(args) -> int:
-    _require(args, "identity", "n")
     ok = csp.check_sum_identity(args.identity, args.n)
     _emit(args, ["PASS" if ok else "FAIL"],
           {"identity": args.identity, "n": args.n, "ok": ok})
@@ -230,66 +232,58 @@ def _cmd_batch(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sieveforest")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, verifyish=False):
-        p.add_argument("--theorem", choices=csp.THEOREM_IDS)
-        p.add_argument("--family", choices=FAMILY_NAMES)
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--degrees")
-        p.add_argument("--delta", type=int)
-        p.add_argument("--i", type=int)
-        p.add_argument("--j", type=int)
-        p.add_argument("--b", type=int)
-        p.add_argument("--e", type=int)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--size-guard", type=_size_guard, dest="size_guard")
-        if verifyish:
-            p.add_argument("--mode", choices=("divisors", "all"), default="divisors")
+    def command(name, func, formats=("json", "text")):
+        p = sub.add_parser(name)
+        p.set_defaults(func=func)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        return p
 
-    for name, fn in (("enumerate", _cmd_enumerate), ("count", _cmd_count),
-                     ("poly", _cmd_poly)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
-    for name, fn in (("fixtable", _cmd_fixtable), ("verify", _cmd_verify)):
-        p = sub.add_parser(name)
-        common(p, verifyish=True)
-        p.set_defaults(func=fn)
-    p = sub.add_parser("orbit")
-    common(p)
-    p.add_argument("--word")
-    p.add_argument("--walk")
-    p.add_argument("--kind", choices=("ordinary", "leaf", "internal", "degree"))
-    p.set_defaults(func=_cmd_orbit)
-    p = sub.add_parser("biject")
-    common(p)
-    p.add_argument("--word")
-    p.add_argument("--walk")
+    def parameters(p, selector, names, size_guard=False):
+        p.add_argument(selector, required=True, choices=names)
+        for name in FIELDS:
+            p.add_argument(f"--{name}", type=_parse_degrees if name == "degrees" else int)
+        if size_guard:
+            p.add_argument("--size-guard", type=_size_guard)
+
+    def word_or_walk(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--word")
+        group.add_argument("--walk")
+
+    parameters(command("enumerate", _cmd_enumerate), "--family", FAMILY_NAMES,
+               size_guard=True)
+    parameters(command("count", _cmd_count), "--family", FAMILY_NAMES)
+    parameters(command("poly", _cmd_poly), "--theorem", csp.THEOREM_IDS)
+    for name, func in (("fixtable", _cmd_fixtable), ("verify", _cmd_verify)):
+        p = command(name, func, ("json", "csv", "text"))
+        parameters(p, "--theorem", csp.THEOREM_IDS, size_guard=True)
+        exponents = p.add_mutually_exclusive_group()
+        exponents.add_argument("--mode", choices=(csp.DIVISORS, csp.ALL_EXPONENTS))
+        exponents.add_argument("--e", type=int)
+    p = command("orbit", _cmd_orbit)
+    word_or_walk(p)
+    p.add_argument("--kind", choices=(*ORBIT_KINDS, "degree"))
+    p.add_argument("--delta", type=int)
+    p = command("biject", _cmd_biject, formats=())
     p.add_argument("--to", required=True,
                    choices=("ncm", "ncp", "dissection", "cubic", "decompose"))
-    p.set_defaults(func=_cmd_biject)
-    p = sub.add_parser("sumcheck")
-    common(p)
-    p.add_argument("--identity",
+    word_or_walk(p)
+    p = command("sumcheck", _cmd_sumcheck)
+    p.add_argument("--identity", required=True,
                    choices=(csp.REFINED_LEAVES, csp.CHU_VANDERMONDE_TM))
-    p.set_defaults(func=_cmd_sumcheck)
-    p = sub.add_parser("batch")
-    p.add_argument("manifest")
-    p.set_defaults(func=_cmd_batch)
+    p.add_argument("--n", required=True, type=int)
+    command("batch", _cmd_batch, formats=()).add_argument("manifest")
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:
@@ -300,10 +294,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    if sys.stdout is None:  # started with stdout closed: the output would be lost
+        if sys.stderr is not None:
+            print("error: stdout is closed; the output cannot be written",
+                  file=sys.stderr)
+        sys.exit(2)
     try:
         code = run(sys.argv[1:])
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
         # stdout is closed or full.  Point it at devnull, so that the flush
         # at exit does not fail again; a closed pipe ends the run silently.

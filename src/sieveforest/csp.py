@@ -204,16 +204,6 @@ class VerificationReport:
                            "seconds": self.seconds})
 
 
-def _row(instance: CspInstance, e: int) -> dict:
-    m = instance.order
-    d = m // math.gcd(e, m) if e else 1
-    query = FixQuery(instance.family, instance.kind, e)
-    brute, closed = fix_count_bruteforce(query), fix_count_closed(query)
-    poly_value = eval_expr_at_root(instance.expr, d)
-    return {"e": e, "d": d, "brute": brute, "closed": closed,
-            "poly_value": poly_value, "agree": brute == closed == poly_value}
-
-
 def verify(instance: CspInstance, mode: str = DIVISORS,
            size_guard: "int | None" = None, exponents=None) -> VerificationReport:
     """Triple-check the sieving claim at the requested exponents."""
@@ -228,7 +218,18 @@ def verify(instance: CspInstance, mode: str = DIVISORS,
         exponents = [0] + [e for e in range(1, m) if m % e == 0]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rows = [_row(instance, e) for e in exponents]
+    # Every period divides m, so the three counts depend on e only through
+    # d = m / gcd(e, m): each is computed once per d.
+    counts, rows = {}, []
+    for e in exponents:
+        d = m // math.gcd(e, m) if e else 1
+        if d not in counts:
+            query = FixQuery(instance.family, instance.kind, e)
+            counts[d] = (fix_count_bruteforce(query), fix_count_closed(query),
+                         eval_expr_at_root(instance.expr, d))
+        brute, closed, poly_value = counts[d]
+        rows.append({"e": e, "d": d, "brute": brute, "closed": closed,
+                     "poly_value": poly_value, "agree": brute == closed == poly_value})
     return VerificationReport(instance.theorem, instance.params, rows,
                               all(r["agree"] for r in rows),
                               time.perf_counter() - start)

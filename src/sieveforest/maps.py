@@ -452,7 +452,7 @@ def _btdeg_census_all(b: int, n: int) -> dict:
     `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
     and L - (i - j) at i; a bud is 0.  A finished word is not parsed again:
     its period is read off the offsets and confirmed by one literal
-    `rotate_btree`.
+    re-rooting of the word.
     """
     if b < 0 or n < 0:
         return {}
@@ -478,9 +478,9 @@ def _btdeg_census_all(b: int, n: int) -> dict:
                 letters[i] = ")"
                 node = parent[node]
                 i += 1
-            word = BTreeWord("".join(letters))
+            word = "".join(letters)
             p = cyclic_period(encode(offsets))
-            if rotate_btree(word, p) != word:
+            if _reroot(word, -p) != word:
                 raise AssertionError(f"{word} is not fixed by its period {p}")
             counts = groups.setdefault(degree_distribution(degree), {})
             counts[p] = counts.get(p, 0) + 1

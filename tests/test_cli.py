@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sieveforest.cli import FAMILY_NAMES, run
-from sieveforest.csp import THEOREM_IDS
+from sieveforest.csp import THEOREM_IDS, THEOREMS
+from sieveforest.trees import FAMILIES, family_fields
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def capture(capsys, argv):
@@ -199,6 +202,66 @@ class TestUsageErrors:
                     assert "MAX_WORD_LENGTH = 512" in err and "Traceback" not in err
 
 
+class TestRefusedFlags:
+    """Each subcommand takes only the flags it reads, and each family or
+    theorem only its own parameters; the rest is a usage error."""
+
+    @staticmethod
+    def refused(capsys, argv) -> str:
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "Traceback" not in err
+        return err
+
+    def test_flag_the_subcommand_does_not_read(self, capsys):
+        for argv in (["count", "--family", "tm_n", "--n", "2", "--size-guard", "1"],
+                     ["count", "--family", "tm_n", "--n", "2", "--e", "4"],
+                     ["count", "--family", "tm_n", "--n", "2", "--theorem", "ord"],
+                     ["count", "--family", "tm_n", "--n", "2", "--format", "csv"],
+                     ["enumerate", "--family", "tm_n", "--n", "1", "--mode", "all"],
+                     ["poly", "--theorem", "ord", "--n", "3", "--format", "csv"],
+                     ["verify", "--theorem", "ord", "--n", "3", "--family", "ncm"],
+                     ["orbit", "--word", "(())", "--n", "2"],
+                     ["orbit", "--word", "(())", "--format", "csv"],
+                     ["biject", "--to", "ncm", "--word", "(())", "--format", "text"],
+                     ["sumcheck", "--identity", "refined_leaves", "--n", "4",
+                      "--k", "2"]):
+            err = self.refused(capsys, argv)
+            assert "unrecognized arguments" in err or "invalid choice" in err
+
+    def test_parameter_the_family_or_theorem_does_not_take(self, capsys):
+        for argv, flags in ((["verify", "--theorem", "ord", "--n", "3", "--k", "9"],
+                             "--k"),
+                            (["count", "--family", "tm_n", "--n", "2", "--b", "4",
+                              "--degrees", "1"], "--degrees --b"),
+                            (["poly", "--theorem", "tmij", "--i", "1", "--j", "1",
+                              "--n", "2"], "--n")):
+            assert f"not {flags}" in self.refused(capsys, argv)
+
+    def test_word_with_walk(self, capsys):
+        for argv in (["orbit", "--word", "(())", "--walk", "ENWS"],
+                     ["biject", "--to", "ncm", "--word", "(())", "--walk", "ENWS"]):
+            assert "not allowed with" in self.refused(capsys, argv)
+
+    def test_e_with_mode(self, capsys):
+        for command in ("verify", "fixtable"):
+            argv = [command, "--theorem", "ord", "--n", "3", "--e", "4",
+                    "--mode", "divisors"]
+            assert "not allowed with" in self.refused(capsys, argv)
+
+    def test_walk_with_kind_or_delta(self, capsys):
+        for extra in (["--kind", "leaf"], ["--delta", "2"],
+                      ["--kind", "degree", "--delta", "2"]):
+            err = self.refused(capsys, ["orbit", "--walk", "ENWS", *extra])
+            assert "--walk takes no --kind or --delta" in err
+
+    def test_delta_without_kind_degree(self, capsys):
+        for extra in (["--delta", "2"], ["--kind", "leaf", "--delta", "2"],
+                      ["--kind", "degree"]):
+            err = self.refused(capsys, ["orbit", "--word", "(()())", *extra])
+            assert "--kind degree takes --delta" in err
+
+
 def run_cli_process(argv, **popen):
     """The command line in a fresh interpreter, with this checkout's sources."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -226,6 +289,14 @@ class TestUnwritableOutput:
             assert proc.wait(timeout=60) == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_closed_stdout_is_one_error_line(self):
+        # started with no stdout at all, print would drop the output silently
+        proc = run_cli_process(["count", "--family", "tm_n", "--n", "2"],
+                               preexec_fn=lambda: os.close(1))
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")
 
@@ -239,9 +310,9 @@ def run_quietly(argv, codes=(0, 2)) -> None:
     assert "Traceback" not in err.getvalue()
 
 
-# Every family and theorem ignores the flags it does not take, so each
-# example passes all integer flags; a missing --degrees is a usage error like
-# a missing flag, and an empty one is malformed.  No --size-guard is passed,
+# Each example passes only the chosen family's or theorem's parameters, so
+# that it fuzzes their values; a missing --degrees is a usage error like a
+# missing flag, and an empty one is malformed.  No --size-guard is passed,
 # so the default guard keeps every verify and fixtable small.
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(("count", "enumerate", "verify", "fixtable", "poly")),
@@ -251,13 +322,15 @@ def run_quietly(argv, codes=(0, 2)) -> None:
        degrees=st.none() | st.lists(st.integers(-3, 8), max_size=4))
 def test_fuzzed_count_and_enumerate_exit_0_or_2(command, family, theorem, ints, degrees):
     if command in ("count", "enumerate"):
-        argv = [command, "--family", family]
+        argv, cls = [command, "--family", family], FAMILIES[family]
     else:
-        argv = [command, "--theorem", theorem]
-    for flag, value in zip(INT_FLAGS, ints):
-        argv += [flag, str(value)]
+        argv, cls = [command, "--theorem", theorem], THEOREMS[theorem].family
+    values = dict(zip(INT_FLAGS, ints))
     if degrees is not None:
-        argv += ["--degrees", ",".join(map(str, degrees))]
+        values["--degrees"] = ",".join(map(str, degrees))
+    for name in family_fields(cls):
+        if f"--{name}" in values:
+            argv += [f"--{name}", str(values[f"--{name}"])]
     run_quietly(argv)
 
 
@@ -270,7 +343,8 @@ def test_fuzzed_count_and_enumerate_exit_0_or_2(command, family, theorem, ints, 
        to=st.sampled_from(("ncm", "ncp", "dissection", "cubic", "decompose")))
 def test_fuzzed_orbit_and_biject_exit_0_or_2(command, word, walk, kind, delta, to):
     argv = [command]
-    for flag, value in (("--word", word), ("--walk", walk), ("--delta", delta),
+    for flag, value in (("--word", word), ("--walk", walk),
+                        ("--delta", delta if command == "orbit" else None),
                         ("--kind", kind if command == "orbit" else None),
                         ("--to", to if command == "biject" else None)):
         if value is not None:
@@ -336,3 +410,20 @@ class TestBatch:
         code, out, err = capture(capsys, ["batch", str(manifest)])
         assert code == 2 and "batch" in err and "Traceback" not in err
         assert out == ""
+
+
+def test_readme_commands_exit_0(capsys, tmp_path):
+    # the sh block under README's "Command line" heading, with its batch
+    # manifest made of the block's other commands
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("sieveforest ")]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([c for c in commands if c[0] != "batch"]))
+    assert len(commands) >= 9
+    for argv in commands:
+        if argv[0] == "batch":
+            argv = ["batch", str(manifest)]
+        code, _, err = capture(capsys, argv)
+        assert code == 0, (argv, err)

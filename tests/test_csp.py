@@ -11,6 +11,7 @@ from sieveforest.csp import (ALL_EXPONENTS, CHU_VANDERMONDE_TM, DIVISORS,
                              build_instance, check_poly_nonneg,
                              check_size_guard, check_sum_identity, verify)
 from sieveforest.qseries import QPolynomial, eval_expr_at_root
+from sieveforest.rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 from sieveforest.trees import FAMILIES, family_from_descriptor
 
 
@@ -113,6 +114,27 @@ class TestVerify:
         for e, row in rows.items():
             if e:
                 assert row["poly_value"] == rows[math.gcd(e, 12)]["poly_value"]
+
+    def test_one_evaluation_per_root_order(self, monkeypatch):
+        # the 12 exponents of ord at n = 6 have 6 root orders d, one per
+        # divisor of 12; each check runs once per d, and every row still
+        # equals the three counts made for its own e
+        inst = build_instance("ord", n=6)
+        orders = []
+
+        def counted(expr, d):
+            orders.append(d)
+            return eval_expr_at_root(expr, d)
+
+        monkeypatch.setattr(csp, "eval_expr_at_root", counted)
+        report = verify(inst, ALL_EXPONENTS)
+        assert sorted(orders) == [1, 2, 3, 4, 6, 12]
+        for row in report.rows:
+            query = FixQuery(inst.family, inst.kind, row["e"])
+            assert (row["brute"], row["closed"], row["poly_value"]) == (
+                fix_count_bruteforce(query), fix_count_closed(query),
+                eval_expr_at_root(inst.expr, row["d"]))
+        assert len(report.rows) == 12 and report.overall
 
     def test_root_values_never_expand_the_polynomial(self, monkeypatch):
         # The third check must not be polynomial() again: with expansion and
