@@ -17,23 +17,26 @@ pairing come from the same kernel.
 
 The six map families implement the `trees.Family` protocol.  Each has one
 rotation (its `kind` is None) of order `word_length`, rotates a member
-with `rotate` and reads its period off its arc offsets.  The tree-rooted
-map families decouple into a b-tree family times a matching family, and
-their counts and fixed points multiply accordingly.
+with `rotate` and reads its period off its arc offsets.  Their closed forms
+are the two formulas of `trees`: `_btree_fix` for `BT` and for `NCM`, whose
+matchings have the words of the b-trees with no buds, and `_degrees_fix`
+for `BTDeg`.  The tree-rooted map families decouple into a b-tree family
+times a matching family, and their fixed points multiply accordingly; none
+of them builds a family object to count.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import json
-from math import comb, gcd, prod
+from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
-from .trees import (Family, _as_int, _btree_words, _check_sizes,
-                    _multinomial, _normalize_degrees, _reroot,
-                    _single_offset_class, _validate_word, arc_offsets,
-                    catalan, cyclic_period, degree_distribution,
-                    degree_solutions, matching, node_degrees, period_census)
+from .trees import (Family, _btree_fix, _btree_words, _check_sizes,
+                    _degrees_feasible, _degrees_fix, _normalize_degrees,
+                    _reroot, _validate_word, arc_offsets, catalan,
+                    cyclic_period, degree_distribution, degree_solutions,
+                    matching, node_degrees, period_census)
 
 
 class SizeMismatch(ValueError):
@@ -195,17 +198,8 @@ class BT(_Maps, name="bt", guard=5):
                 counts[p] = counts.get(p, 0) + c
         return tuple(sorted(counts.items()))
 
-    def count(self) -> int:
-        b, n = self.b, self.n
-        return _multinomial(2 * n + b, (b, n, n)) // (n + 1)
-
     def fix_closed(self, d: int) -> int:
-        b, n = self.b, self.n
-        if d == 2 and n % 2 == 1:
-            return _multinomial(n + b // 2, (b // 2, (n - 1) // 2, (n + 1) // 2))
-        if n % d == 0 and b % d == 0:
-            return _multinomial((2 * n + b) // d, (b // d, n // d, n // d))
-        return 0
+        return _btree_fix(self.b, self.n, d)
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -227,9 +221,7 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
     rotate = BT.rotate
 
     def feasible(self) -> bool:
-        degsum = sum(i * c for i, c in enumerate(self.degrees, start=1))
-        return degsum == 2 * self.n + self.b and \
-            -self.b + sum((i - 2) * c for i, c in enumerate(self.degrees, start=1)) == -2
+        return _degrees_feasible(self.degrees, self.b)
 
     def members(self):
         if self.feasible():
@@ -243,44 +235,18 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
             return ()
         return _btdeg_census_all(self.b, self.n).get(self.degrees, ())
 
-    def count(self) -> int:
-        if not self.feasible():
-            return 0
-        b, n = self.b, self.n
-        return _as_int((2 * n + b) * _multinomial(b + n + 1, (b,) + self.degrees),
-                       (n + b) * (n + b + 1))
-
     def fix_closed(self, d: int) -> int:
-        b, n, degrees = self.b, self.n, self.degrees
-        if not self.feasible():
-            return 0
-        if d == 2 and b % 2 == 0 and all(c % 2 == 0 for c in degrees):
-            halves = (b // 2,) + tuple(c // 2 for c in degrees)
-            return _as_int((2 * n + b) * _multinomial((b + n + 1) // 2, halves),
-                           n + b + 1)
-        ell = _single_offset_class(degrees, d)
-        if ell is None or b % d:
-            return 0
-        parts = [b // d] + [c // d for c in degrees]  # buds first
-        parts[ell] = (degrees[ell - 1] - 1) // d
-        return _as_int((2 * n + b) * _multinomial((n + b) // d, parts), n + b)
+        return _degrees_fix(self.word_length, self.b, self.degrees, d)
 
 
 class _Decoupled(_Maps):
     """Tree-rooted maps as (b-tree with 2j buds, matching of the buds)
-    pairs, by `compose`: counts and fixed points multiply over the parts."""
+    pairs, by `compose`: fixed points multiply over the parts."""
 
     def members(self):
-        btrees, _ = self._parts()
-        for bt in btrees.members():
+        for bt in self._btrees().members():
             for m in _ncm_list(self.j):
                 yield compose(bt, m)
-
-    def count(self) -> int:
-        return prod(part.count() for part in self._parts())
-
-    def fix_closed(self, d: int) -> int:
-        return prod(part.fix_closed(d) for part in self._parts())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,8 +261,17 @@ class TMij(_Decoupled, name="tm_ij", guard=5):
     def n(self) -> int:
         return self.i + self.j
 
-    def _parts(self):
-        return BT(2 * self.j, self.i), NCM(self.j)
+    def _btrees(self):
+        return BT(2 * self.j, self.i)
+
+    def fix_closed(self, d: int) -> int:
+        return _tm_fix(self.i, self.j, d)
+
+
+def _tm_fix(i: int, j: int, d: int) -> int:
+    """Tree-rooted maps with i tree and j non-tree edges fixed by a rotation
+    power of order d: b-trees with 2j buds times matchings of the buds."""
+    return _btree_fix(2 * j, i, d) * _btree_fix(0, j, d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,11 +285,11 @@ class TMn(_Maps, name="tm_n", guard=5):
         for i in range(self.n + 1):
             yield from TMij(i, self.n - i).members()
 
-    def count(self) -> int:
-        return catalan(self.n) * catalan(self.n + 1)
-
     def fix_closed(self, d: int) -> int:
-        return sum(TMij(i, self.n - i).fix_closed(d) for i in range(self.n + 1))
+        n = self.n
+        if d == 1:
+            return catalan(n) * catalan(n + 1)
+        return sum(_tm_fix(i, n - i, d) for i in range(n + 1))
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -332,8 +307,12 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
         """Map edge count: tree edges plus j."""
         return sum(self.degrees) - 1 + self.j
 
-    def _parts(self):
-        return BTDeg(2 * self.j, self.degrees), NCM(self.j)
+    def _btrees(self):
+        return BTDeg(2 * self.j, self.degrees)
+
+    def fix_closed(self, d: int) -> int:
+        return (_degrees_fix(self.word_length, 2 * self.j, self.degrees, d)
+                * _btree_fix(0, self.j, d))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -353,14 +332,8 @@ class NCM(_Maps, name="ncm", guard=5):
     def members(self):
         yield from _ncm_list(self.j)
 
-    def count(self) -> int:
-        return catalan(self.j)
-
     def fix_closed(self, d: int) -> int:
-        j = self.j
-        if d == 2:
-            return comb(j, (j + 1) // 2)
-        return comb(2 * j // d, j // d) if j % d == 0 else 0
+        return _btree_fix(0, self.j, d)
 
 
 @functools.lru_cache(maxsize=None)

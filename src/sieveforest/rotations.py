@@ -101,13 +101,11 @@ def fix_count_closed(query: FixQuery) -> int:
 
     The e-th power generates the same subgroup as the gcd(e, order)-th, so
     the count depends only on d = order / gcd(e, order), the order of the
-    root of unity; d = 1 fixes the whole family.
+    root of unity; d = 1, as under a rotation of order 0, fixes the whole
+    family.
     """
-    family, e = query.family, query.e
-    order = family.order(query.kind)
-    if order == 0 or e % order == 0:
-        return family.count()
-    return family.fix_closed(order // gcd(e, order))
+    order = query.family.order(query.kind)
+    return query.family.fix_closed(order // gcd(query.e, order) if order else 1)
 
 
 def check_rotation_transfer(family: trees.Family, e: int) -> bool:

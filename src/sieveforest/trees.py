@@ -11,11 +11,12 @@ matcher (`_pair_offsets`, read as partners by `matching` and as a period
 key by `arc_offsets`) and one re-rooting (`_reroot`, behind `shift_root`
 here and the rotations of `maps`).  It also provides the rotation kinds
 (`RotationKind`: which corners a rotation visits), the `Family` protocol
-that every family of the package implements, the eight plane-tree
-families, the tree center, and the two structural surgeries used to
-classify trees fixed by a power of the rotation: cutting the central edge
-(half_tree / glue_halves) and keeping a 1/d sector around the central
-vertex (sector / replicate_sector).
+that every family of the package implements with the two closed-form
+formulas most families share (b-trees by size and by degrees), the eight
+plane-tree families, the tree center, and the two structural surgeries
+used to classify trees fixed by a power of the rotation: cutting the
+central edge (half_tree / glue_halves) and keeping a 1/d sector around the
+central vertex (sector / replicate_sector).
 
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
@@ -366,14 +367,12 @@ def _check_sizes(family, *names: str) -> None:
                              f"non-negative, got {value}")
 
 
-def _degrees_edge_count(degrees: tuple[int, ...]) -> int:
+def _degrees_feasible(degrees: tuple[int, ...], buds: int = 0) -> bool:
+    """Whether these node degrees (buds included) sum to twice the edges,
+    one fewer than the nodes, plus the buds: the degree lists of b-trees
+    with `buds` buds, and of plane trees at 0."""
     total = sum(i * c for i, c in enumerate(degrees, start=1))
-    return total // 2
-
-
-def _degrees_feasible(degrees: tuple[int, ...]) -> bool:
-    total = sum(i * c for i, c in enumerate(degrees, start=1))
-    return total % 2 == 0 and sum(degrees) == total // 2 + 1 and total > 0
+    return total == 2 * sum(degrees) - 2 + buds
 
 
 FAMILIES: dict[str, type] = {}  # name -> family class, in definition order
@@ -386,14 +385,19 @@ class Family:
 
     Each family answers for itself:
       members()     every member once, in a fixed order, by enumeration;
-      count()       the number of members, from a formula;
       kind          the rotation its theorem uses (None for map families,
                     which have one rotation);
       order(kind)   the order of that rotation;
       census(kind)  ((period, member count), ...) by enumeration: the
                     least rotation power fixing each member;
       fix_closed(d) from a formula, the members fixed by a rotation power
-                    of order d > 1 (d divides the order).
+                    of order d, for every d dividing the order;
+      count()       the number of members: fix_closed(1).
+
+    Two formulas serve most families: `_btree_fix` (b-trees by size; plane
+    trees and non-crossing matchings are the b-trees with no buds) and
+    `_degrees_fix` (b-trees by degrees, plane trees at no buds).  Only the
+    leaf-count families have a formula of their own.
     """
 
     guard_limit = 10
@@ -411,6 +415,9 @@ class Family:
     def word_length(self) -> int:
         """Letters in each member's word: the depth of the enumerating walks."""
         return 2 * self.n
+
+    def count(self) -> int:
+        return self.fix_closed(1)
 
     def descriptor(self) -> dict:
         out = {"family": self.name}
@@ -484,14 +491,8 @@ class AllTrees(_PlaneTrees, name="all_trees"):
             if self.admits(stats(t)):
                 yield t
 
-    def count(self) -> int:
-        return catalan(self.n)
-
     def fix_closed(self, d: int) -> int:
-        n = self.n
-        if d == 2 and n % 2 == 1:
-            return comb(n, (n + 1) // 2)
-        return comb(2 * n // d, n // d) if n % d == 0 else 0
+        return _btree_fix(0, self.n, d)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -512,20 +513,15 @@ class _ByLeafCount(_PlaneTrees):
     def admits(self, st: TreeStats) -> bool:
         return st.leaves == self.k and self.kind.eligible(st.root_degree)
 
-    def count(self) -> int:
+    def fix_closed(self, d: int) -> int:
         n, k = self.n, self.k
         if n <= 1:  # the bare node has no leaves; '()' has two, one at the root
             return int(k == 2 * n and self.kind.eligible(n))
         if not 2 <= k <= n + 1:
             return 0
-        return _as_int(self.order(self.kind) * comb(n - 1, k - 2) * comb(n, k),
-                       n * (n - 1))
-
-    def fix_closed(self, d: int) -> int:
-        n, k = self.n, self.k
-        if n <= 1 or not 2 <= k <= n + 1:  # at most one member, fixed by all
-            return self.count()
-        if d == 2 and n % 2 == 1:
+        if d == 1:
+            part, den = comb(n - 1, k - 2) * comb(n, k), n * (n - 1)
+        elif d == 2 and n % 2 == 1:
             if k % 2:
                 return 0
             h = (n - 1) // 2
@@ -551,9 +547,8 @@ class InternalRooted(_ByLeafCount, name="internal_rooted"):
 
 @dataclasses.dataclass(frozen=True, init=False)
 class _ByDegreeCounts(_PlaneTrees, guard=9):
-    """Trees with degrees[i-1] nodes of degree i.  The count is the number
-    of corners `kind` visits times (n-1)! / prod(n_i!), and the fixed
-    points have the same shape."""
+    """Trees with degrees[i-1] nodes of degree i: the b-trees with no buds
+    of `_degrees_fix`, whose corners are those `kind` visits."""
     degrees: tuple[int, ...]
 
     def __init__(self, degrees):
@@ -561,7 +556,7 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
 
     @property
     def n(self) -> int:
-        return _degrees_edge_count(self.degrees)
+        return sum(i * c for i, c in enumerate(self.degrees, start=1)) // 2
 
     @property
     def leaves(self) -> int:
@@ -574,27 +569,11 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
         if _degrees_feasible(self.degrees):
             yield from super().members()
 
-    def count(self) -> int:
+    def fix_closed(self, d: int) -> int:
+        # an infeasible list may have no order for its kind, and no members
         if not _degrees_feasible(self.degrees):
             return 0
-        return _as_int(self.order(self.kind) * factorial(self.n - 1),
-                       prod(map(factorial, self.degrees)))
-
-    def fix_closed(self, d: int) -> int:
-        degrees, n = self.degrees, self.n
-        if not _degrees_feasible(degrees):
-            return 0
-        if d == 2 and all(c % 2 == 0 for c in degrees):
-            part = _multinomial((n + 1) // 2, [c // 2 for c in degrees])
-            den = n + 1
-        else:
-            ell = _single_offset_class(degrees, d)
-            if ell is None or n % d:
-                return 0
-            parts = [c // d for c in degrees]
-            parts[ell - 1] = (degrees[ell - 1] - 1) // d
-            part, den = _multinomial(n // d, parts), n
-        return _as_int(self.order(self.kind) * part, den)
+        return _degrees_fix(self.order(self.kind), 0, self.degrees, d)
 
 
 class ByDegrees(_ByDegreeCounts, name="by_degrees"):
@@ -652,27 +631,50 @@ def catalan(n: int) -> int:
 
 
 def _multinomial(total: int, parts) -> int:
-    parts = list(parts)
     if any(p < 0 for p in parts) or sum(parts) != total:
         return 0
-    out = factorial(total)
+    out = 1
     for p in parts:
-        out //= factorial(p)
+        out *= comb(total, p)
+        total -= p
     return out
 
 
-def _single_offset_class(degrees, d: int):
-    """Index l (1-based) with n_l = 1 mod d while all others are 0 mod d, or None."""
-    found = None
-    for i, c in enumerate(degrees, start=1):
-        r = c % d
-        if r == 0:
-            continue
-        if r == 1 and found is None:
-            found = i
-        else:
-            return None
-    return found
+def _btree_fix(b: int, n: int, d: int) -> int:
+    """B-trees with b buds and n edges fixed by a rotation power of order d
+    (d divides 2n + b); with no buds, the plane trees with n edges and the
+    non-crossing matchings of 2n points."""
+    if d == 1:
+        return _multinomial(2 * n + b, (b, n, n)) // (n + 1)
+    if d == 2 and n % 2 == 1:
+        return _multinomial(n + b // 2, (b // 2, n // 2, n // 2 + 1))
+    if n % d or b % d:
+        return 0
+    return _multinomial((2 * n + b) // d, (b // d, n // d, n // d))
+
+
+def _degrees_fix(corners: int, b: int, degrees: tuple[int, ...], d: int) -> int:
+    """B-trees with b buds and degrees[i-1] nodes of degree i (buds
+    included), fixed by a rotation power of order d, when the rotation
+    visits `corners` corners of each; with no buds, plane trees.
+
+    With E = b + n edges the count is corners (E-1)! / (b! prod(n_i!)).  A
+    fixed tree is two halves around a central edge (d = 2, every count even)
+    or d sectors around a central node, whose degree class alone is 1 mod d.
+    """
+    if not _degrees_feasible(degrees, b):
+        return 0
+    edges = b + sum(degrees) - 1
+    parts = (b,) + degrees
+    if d == 1:
+        return _as_int(corners * factorial(edges - 1), prod(map(factorial, parts)))
+    residues = [c % d for c in parts]
+    if d == 2 and not any(residues):
+        halves = [c // 2 for c in parts]
+        return _as_int(corners * _multinomial((edges + 1) // 2, halves), edges + 1)
+    if residues[0] or sum(residues) != 1:
+        return 0
+    return _as_int(corners * _multinomial(edges // d, [c // d for c in parts]), edges)
 
 
 def closed_count(family) -> int:
