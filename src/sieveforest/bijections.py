@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from .maps import NonCrossingMatching, rotate_ncm
-from .trees import PlaneTree, matching
+from .trees import PlaneTree, matching, node_degrees
 from .rotations import degree_kind, rotate
 
 
@@ -172,27 +172,22 @@ def tree_to_dissection(t: PlaneTree) -> Dissection:
     """Leaves (in tour order, root leaf first) become polygon sides; each edge
     between two internal vertices becomes the diagonal cutting off the leaves
     of its far subtree."""
-    from .trees import _Parse
-
     word = t.word
     partner = matching(word)
     size = len(word)
     if size < 2 or partner[0] != size - 1:
         raise NotLeafRooted(f"{t} is not rooted at a leaf")
-    parse = _Parse(word)
-    if any(deg == 2 for deg in parse.degree):
+    if 2 in node_degrees(word):
         raise Degree2NodePresent(f"{t} has a degree-2 vertex")
     if size == 2:
         raise ValueError("dissection correspondence needs an internal vertex")
-    # children count per opening position (the vertex an edge opens into)
-    children = {parse.first_corner[k] - 1: len(parse.children[k])
-                for k in range(1, parse.node_count)}
-    leaves = [o for o in range(size) if word[o] == "(" and children[o] == 0]
+    # the edge opened at o leads to a leaf exactly when it closes at o + 1
+    leaves = [o for o in range(size) if partner[o] == o + 1]
     k = len(leaves) + 1  # plus the root leaf
     index_after = lambda pos: sum(1 for o in leaves if o < pos)
     diagonals = []
     for o in range(1, size):
-        if word[o] == "(" and children[o] > 0:
+        if partner[o] > o + 1:
             j = index_after(o) + 1
             jp = index_after(partner[o])
             diagonals.append((j, (jp + 1) % k))

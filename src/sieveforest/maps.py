@@ -11,9 +11,11 @@ is the rewriting a w1 a' w2 -> w1 a w2 a' (a' the letter closing the leading
 letter a within its own E/W or N/S class).  Iterating the rewriting is the
 same as shifting every arc end by -steps around the circle of 2n positions
 and re-reading the letters.  That is the re-rooting of the tour-word kernel
-in `trees`, which also re-roots plane trees; `rotate_map` and
-`rotate_btree` apply it to map and b-tree words, whose validation and arc
-pairing come from the same kernel.
+in `trees`, which also re-roots plane trees; `rotate_map`, `rotate_btree`
+and `rotate_ncm` apply it to map, b-tree and matching words, whose
+validation and arc pairing come from the same kernel.  A cubic map with a
+Hamiltonian cycle is checked, and moves its root edge, through the map word
+it reads from its root edge.
 
 The six map families implement the `trees.Family` protocol.  Each has one
 rotation (its `kind` is None) of order `word_length`, rotates a member
@@ -34,7 +36,7 @@ from math import gcd
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 from .trees import (Family, _btree_fix, _btree_words, _check_sizes,
                     _degrees_feasible, _degrees_fix, _normalize_degrees,
-                    _reroot, _validate_word, arc_offsets, catalan,
+                    _reroot, _TourWord, arc_offsets, catalan,
                     cyclic_period, degree_distribution, degree_solutions,
                     matching, node_degrees, period_census)
 
@@ -43,14 +45,10 @@ class SizeMismatch(ValueError):
     """Matching size does not equal the bud count."""
 
 
-@dataclasses.dataclass(frozen=True)
-class BTreeWord:
+class BTreeWord(_TourWord):
     """Plane tree word with b pendant buds interspersed, e.g. '(bb)'."""
 
-    word: str = ""
-
-    def __post_init__(self):
-        _validate_word(self.word, "()b")
+    letters = "()b"
 
     @property
     def buds(self) -> int:
@@ -60,9 +58,6 @@ class BTreeWord:
     def n(self) -> int:
         """Tree edge count."""
         return self.word.count("(")
-
-    def __str__(self) -> str:
-        return self.word
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -104,19 +99,16 @@ class NonCrossingMatching:
             size = 2 * len(pairs)
         partner = [-1] * size
         for a, b in pairs:
+            if not (0 <= a < size and 0 <= b < size):
+                raise ValueError(f"pair {(a, b)} is not within {size} points")
             partner[a], partner[b] = b, a
         return NonCrossingMatching(partner)
 
 
-@dataclasses.dataclass(frozen=True)
-class TreeRootedMap:
-    """Quadrant excursion word over E/W/N/S."""
+class TreeRootedMap(_TourWord):
+    """Quadrant excursion word: E/W and N/S are each balanced."""
 
-    word: str = ""
-
-    def __post_init__(self):
-        # a quadrant excursion: E/W and N/S are each balanced
-        _validate_word(self.word, "EWNS")
+    letters = "EWNS"
 
     @property
     def i(self) -> int:
@@ -132,17 +124,9 @@ class TreeRootedMap:
     def n(self) -> int:
         return self.i + self.j
 
-    def __str__(self) -> str:
-        return self.word
-
 
 # ---------------------------------------------------------------------------
 # Families
-
-
-def _btree_stats(word: str) -> tuple[int, ...]:
-    """Degree distribution of a b-tree; buds count towards node degrees."""
-    return degree_distribution(node_degrees(word))
 
 
 class _Maps(Family):
@@ -226,7 +210,7 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
     def members(self):
         if self.feasible():
             for w in _btree_words(self.b, self.n):
-                if _btree_stats(w) == self.degrees:
+                if degree_distribution(node_degrees(w)) == self.degrees:
                     yield BTreeWord(w)
 
     def _census(self):
@@ -393,13 +377,10 @@ def rotate_btree(bt: BTreeWord, steps: int = 1) -> BTreeWord:
 
 
 def rotate_ncm(m: NonCrossingMatching, steps: int = 1) -> NonCrossingMatching:
-    size = len(m.partner)
-    if size == 0:
-        return m
-    partner = [0] * size
-    for i, p in enumerate(m.partner):
-        partner[(i + steps) % size] = (p + steps) % size
-    return NonCrossingMatching(partner)
+    """Every point moved by +steps: the re-rooting of the matching's word."""
+    word = m.word
+    moved = _reroot(word, steps)
+    return m if moved == word else NonCrossingMatching(matching(moved))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +516,9 @@ def map_fixed_via_parts(mp: TreeRootedMap, e: int) -> bool:
 @dataclasses.dataclass(frozen=True, init=False)
 class CubicHamiltonianMap:
     """2n-cycle plus n chords, one per cycle vertex: inner chords inside the
-    disk, outer chords outside (non-crossing after index reflection)."""
+    disk, outer chords outside, neither crossing on its side.  Read from the
+    root edge, with E/W at the ends of inner chords and N/S at those of outer
+    ones, it is the tour word of a tree-rooted map (`from_cubic`)."""
 
     n: int
     inner: frozenset
@@ -545,19 +528,16 @@ class CubicHamiltonianMap:
     def __init__(self, n: int, inner, outer, root: int = 0):
         inner = frozenset(tuple(sorted(p)) for p in inner)
         outer = frozenset(tuple(sorted(p)) for p in outer)
-        seen = [0] * (2 * n)
-        for a, b in list(inner) + list(outer):
-            seen[a] += 1
-            seen[b] += 1
-        if any(c != 1 for c in seen):
-            raise ValueError("every cycle vertex must meet exactly one chord")
-        for chords in (inner, outer):
-            for a, b in chords:
-                for c, d in chords:
-                    if a < c < b < d:
-                        raise ValueError("crossing chords on the same side")
-        if not 0 <= root < 2 * n and n > 0:
-            raise ValueError("root edge out of range")
+        size = 2 * n
+        if not 0 <= root < max(size, 1):
+            raise ValueError(f"root edge {root} is not on the {size}-cycle")
+        word, partner = _chord_tour(size, inner, outer, root)
+        # n chords fill the 2n letters only if they meet every vertex once,
+        # and then the matcher pairs the letters as they do if none cross
+        if (len(inner) + len(outer) != n or len(word) != size
+                or matching(word) != partner):
+            raise ValueError("chords must meet every cycle vertex once, "
+                             "without crossing on the same side")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "outer", outer)
@@ -568,6 +548,20 @@ class CubicHamiltonianMap:
                 "outer": sorted(list(p) for p in self.outer), "root": self.root}
 
 
+def _chord_tour(size: int, inner, outer, root: int):
+    """(word, partner) read from the root edge: E/W at the ends of inner
+    chords, N/S at those of outer ones, and the other end of each chord."""
+    letters, partner = [""] * size, [-1] * size
+    for chords, opener, closer in ((inner, "E", "W"), (outer, "N", "S")):
+        for chord in chords:
+            if not all(0 <= end < size for end in chord):
+                raise ValueError(f"chord {chord} is not within the {size}-cycle")
+            a, b = sorted((end - root) % size for end in chord)
+            letters[a], letters[b] = opener, closer
+            partner[a], partner[b] = b, a
+    return "".join(letters), tuple(partner)
+
+
 def to_cubic(mp: TreeRootedMap) -> CubicHamiltonianMap:
     word = mp.word
     arcs = [(a, b) for a, b in enumerate(matching(word)) if a < b]
@@ -576,27 +570,10 @@ def to_cubic(mp: TreeRootedMap) -> CubicHamiltonianMap:
     return CubicHamiltonianMap(mp.n, inner, outer, 0)
 
 
-def _normalized_chords(c: CubicHamiltonianMap):
-    size = 2 * c.n
-    shift = lambda p: tuple(sorted(((p[0] - c.root) % size, (p[1] - c.root) % size)))
-    return (frozenset(shift(p) for p in c.inner), frozenset(shift(p) for p in c.outer))
-
-
 def advance_root(c: CubicHamiltonianMap) -> CubicHamiltonianMap:
     """Move the root edge one step along the cycle, relabelled so root = 0."""
-    size = 2 * c.n
-    if size == 0:
-        return c
-    moved = CubicHamiltonianMap(c.n, c.inner, c.outer, (c.root + 1) % size)
-    inner, outer = _normalized_chords(moved)
-    return CubicHamiltonianMap(c.n, inner, outer, 0)
+    return to_cubic(rotate_map(from_cubic(c), 1))
 
 
 def from_cubic(c: CubicHamiltonianMap) -> TreeRootedMap:
-    inner, outer = _normalized_chords(c)
-    out = [""] * (2 * c.n)
-    for a, b in inner:
-        out[a], out[b] = "E", "W"
-    for a, b in outer:
-        out[a], out[b] = "N", "S"
-    return TreeRootedMap("".join(out))
+    return TreeRootedMap(_chord_tour(2 * c.n, c.inner, c.outer, c.root)[0])

@@ -6,9 +6,11 @@ edge-matching picture: each edge becomes an arc between its two tour
 positions, all endpoints shift by +steps mod 2n, and the word is rebuilt.
 The leaf / internal / degree-restricted rotations advance the root corner to
 the next corner of the required degree class and are realized as ordinary
-rotations by the corresponding number of corners.  The kinds themselves
-(`RotationKind`, `ORDINARY`, `LEAF`, `INTERNAL`, `degree_kind`) live in
-`trees`, whose families are rooted by them, and are re-exported here.
+rotations by the corresponding number of corners.  A node of degree d has
+d corners, so the node degrees alone give the number of eligible corners.
+The kinds themselves (`RotationKind`, `ORDINARY`, `LEAF`, `INTERNAL`,
+`degree_kind`) live in `trees`, whose families are rooted by them, and are
+re-exported here.
 
 Also here: orbits, the cached period census of a tree family, the two
 fixed-point counts of a `FixQuery` on any family, tree or map (by
@@ -35,20 +37,21 @@ def rotate(tree: PlaneTree, kind: RotationKind, steps: int) -> PlaneTree:
     """Apply the rotation `steps` times (negative steps invert).  A rotation
     that gives back the same word returns `tree` itself."""
     if kind.name != "ordinary":
-        p = trees._Parse(tree.word)
-        size = len(tree.word)
-        eligible = [c for c in range(size)
-                    if kind.eligible(p.degree[p.node_at_corner[c]])]
-        if not eligible or eligible[0] != 0:
+        degree = trees.node_degrees(tree.word)
+        if not (tree.word and kind.eligible(degree[0])):
             raise NoEligibleCorner(
                 f"root corner of {tree} is not a {kind} corner")
-        k = len(eligible)
+        # a node of degree d has d corners
+        visits = [kind.eligible(d) for d in degree]
+        k = sum(d for d, v in zip(degree, visits) if v)
         if steps % k == 0:
             return tree
+        eligible = [c for c, node in enumerate(trees.corner_nodes(tree.word))
+                    if visits[node]]
         # One step of the restricted rotation re-roots at the nearest
         # eligible corner in rotation order, i.e. the largest eligible tour
         # position.
-        steps = size - eligible[-steps % k]
+        steps = len(tree.word) - eligible[-steps % k]
     word = shift_root(tree.word, steps)
     return tree if word == tree.word else PlaneTree(word)
 

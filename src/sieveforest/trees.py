@@ -6,10 +6,12 @@ Corner t (0 <= t < 2n) is the corner visited just before letter t; the root
 corner is corner 0.  Equality, hashing and ordering are word-based.
 
 The module holds the tour-word kernel that the tree, b-tree and map words
-all share: one validator (`_validate_word`, given the alphabet), one arc
-matcher (`_pair_offsets`, read as partners by `matching` and as a period
-key by `arc_offsets`) and one re-rooting (`_reroot`, behind `shift_root`
-here and the rotations of `maps`).  It also provides the rotation kinds
+all share, and through which every member's structure is read: one word
+base (`_TourWord`, checked by `_validate_word` over its class's alphabet),
+one arc matcher (`_pair_offsets`, read as partners by `matching` and as a
+period key by `arc_offsets`), one re-rooting (`_reroot`, behind
+`shift_root` here and every rotation of `maps`) and the node readers
+`node_degrees` and `corner_nodes`.  It also provides the rotation kinds
 (`RotationKind`: which corners a rotation visits), the `Family` protocol
 that every family of the package implements with the two closed-form
 formulas most families share (b-trees by size and by degrees), the eight
@@ -178,19 +180,24 @@ def _btree_words(b: int, n: int) -> tuple[str, ...]:
 
 
 @dataclasses.dataclass(frozen=True, order=True)
-class PlaneTree:
+class _TourWord:
+    """A word of the kernel, validated over the class's `letters`, one of
+    the `_ALPHABETS`."""
     word: str = ""
+    letters = "()"
 
     def __post_init__(self):
-        _validate_word(self.word, "()")
+        _validate_word(self.word, self.letters)
 
+    def __str__(self) -> str:
+        return self.word
+
+
+class PlaneTree(_TourWord):
     @property
     def n(self) -> int:
         """Edge count."""
         return len(self.word) // 2
-
-    def __str__(self) -> str:
-        return self.word
 
 
 def cyclic_period(symbols: str | bytes) -> int:
@@ -216,45 +223,6 @@ def period_census(members, period, rotate) -> tuple[tuple[int, int], ...]:
 def shift_root(word: str, steps: int) -> str:
     """The same tree re-rooted: every arc end moved by +steps (mod 2n)."""
     return _reroot(word, steps)
-
-
-class _Parse:
-    """One-pass structure extraction from a tree word.
-
-    Nodes are numbered 0 (root), then in order of first arrival.
-    """
-
-    __slots__ = ("word", "parent", "degree", "first_corner", "node_at_corner",
-                 "children")
-
-    def __init__(self, word: str):
-        self.word = word
-        self.parent = [-1]
-        self.degree = [0]
-        self.first_corner = [0]
-        self.children: list[list[int]] = [[]]
-        self.node_at_corner: list[int] = []
-        cur = 0
-        stack = [0]
-        for pos, ch in enumerate(word):
-            self.node_at_corner.append(cur)
-            if ch == "(":
-                nid = len(self.parent)
-                self.parent.append(cur)
-                self.degree.append(1)
-                self.degree[cur] += 1
-                self.first_corner.append(pos + 1)
-                self.children[cur].append(nid)
-                self.children.append([])
-                stack.append(nid)
-                cur = nid
-            else:
-                stack.pop()
-                cur = stack[-1]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -283,6 +251,22 @@ def node_degrees(word: str) -> list[int]:
         else:
             degree[stack[-1]] += 1
     return degree
+
+
+def corner_nodes(word: str) -> list[int]:
+    """The node at each corner (the one visited just before each letter),
+    numbered as in `node_degrees`."""
+    out = []
+    stack = [0]
+    nodes = 1
+    for ch in word:
+        out.append(stack[-1])
+        if ch == "(":
+            stack.append(nodes)
+            nodes += 1
+        elif ch == ")":
+            stack.pop()
+    return out
 
 
 def degree_distribution(degree: list[int]) -> tuple[int, ...]:
@@ -467,7 +451,7 @@ class _PlaneTrees(Family):
         if kind != self.kind and not (kind == LEAF and self.kind == degree_kind(1)):
             raise IncompatibleKind(f"{kind} does not act on {self}")
         if kind.name == "degree":
-            return kind.delta * self.degrees[kind.delta - 1]
+            return kind.delta * self._nodes_of_degree(kind.delta)
         order = self.leaves if kind == LEAF else 2 * self.n - self.leaves
         if order < 0:
             raise ValueError(f"{self}: the {kind} rotation would have the "
@@ -560,7 +544,11 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
 
     @property
     def leaves(self) -> int:
-        return self.degrees[0]
+        return self._nodes_of_degree(1)
+
+    def _nodes_of_degree(self, i: int) -> int:
+        """degrees[i-1]: 0 past the end of the list."""
+        return self.degrees[i - 1] if i <= len(self.degrees) else 0
 
     def admits(self, st: TreeStats) -> bool:
         return st.degrees == self.degrees and self.kind.eligible(st.root_degree)
@@ -734,15 +722,15 @@ CenterResult = CentralVertex | CentralEdge
 
 def center(tree: PlaneTree) -> CenterResult:
     """Iteratively delete all leaves; a vertex or an edge remains."""
-    p = _Parse(tree.word)
-    if p.node_count == 1:
+    nodes = corner_nodes(tree.word)
+    if not nodes:
         return CentralVertex(0, frozenset())
-    alive = set(range(p.node_count))
-    deg = list(p.degree)
-    neighbours = [list(ch) for ch in p.children]
-    for node, par in enumerate(p.parent):
-        if par >= 0:
-            neighbours[node].append(par)
+    deg = node_degrees(tree.word)
+    # each letter crosses an edge from the node at its corner to the next
+    neighbours: list[list[int]] = [[] for _ in deg]
+    for u, v in zip(nodes, nodes[1:] + nodes[:1]):
+        neighbours[u].append(v)
+    alive = set(range(len(deg)))
     while len(alive) > 2:
         drop = [v for v in alive if deg[v] == 1]
         for v in drop:
@@ -752,13 +740,11 @@ def center(tree: PlaneTree) -> CenterResult:
                     deg[u] -= 1
     if len(alive) == 1:
         v = alive.pop()
-        corners = frozenset(c for c, node in enumerate(p.node_at_corner) if node == v)
-        return CentralVertex(p.first_corner[v], corners)
-    u, v = sorted(alive)
-    child = v if p.parent[v] == u else u
-    partner = matching(tree.word)
-    open_pos = p.first_corner[child] - 1
-    return CentralEdge(open_pos, (open_pos, partner[open_pos]))
+        corners = [c for c, node in enumerate(nodes) if node == v]
+        return CentralVertex(corners[0], frozenset(corners))
+    # nodes are numbered in order of first arrival, so the child is the larger
+    open_pos = nodes.index(max(alive)) - 1
+    return CentralEdge(open_pos, (open_pos, matching(tree.word)[open_pos]))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,9 +17,9 @@ from sieveforest.maps import (BT, NCM, TMDeg, TMij, TMn,
                               from_cubic, rotate_ncm, to_cubic)
 from sieveforest.qseries import eval_at_primitive_root
 from sieveforest.rotations import check_rotation_transfer
-from sieveforest.trees import (AllTrees, MarkedTree, PlaneTree, _Parse,
-                               catalan, degree_distributions, enumerate_family,
-                               glue_halves, half_tree, matching,
+from sieveforest.trees import (AllTrees, MarkedTree, PlaneTree, catalan,
+                               degree_distributions, enumerate_family,
+                               glue_halves, half_tree, matching, node_degrees,
                                replicate_sector, sector, shift_root)
 
 GUARD = 99  # the acceptance ranges deliberately exceed the default desk guard
@@ -184,7 +184,7 @@ class TestCriterion7:
                 word = t.word
                 if matching(word)[0] != len(word) - 1 or len(word) < 4:
                     continue
-                if any(d == 2 for d in _Parse(word).degree):
+                if any(d == 2 for d in node_degrees(word)):
                     continue
                 assert dissection_to_tree(tree_to_dissection(t)) == t
 

@@ -9,15 +9,15 @@ from sieveforest.bijections import (Degree2NodePresent, Dissection,
                                     tree_to_ncp)
 from sieveforest.maps import rotate_ncm
 from sieveforest.rotations import LEAF, ORDINARY, rotate
-from sieveforest.trees import (AllTrees, PlaneTree, _Parse, enumerate_family,
-                               matching, stats)
+from sieveforest.trees import (AllTrees, PlaneTree, enumerate_family,
+                               matching, node_degrees, stats)
 
 
 def admissible_for_dissection(t):
     word = t.word
     if len(word) < 4 or matching(word)[0] != len(word) - 1:
         return False
-    return all(d != 2 for d in _Parse(word).degree)
+    return all(d != 2 for d in node_degrees(word))
 
 
 class TestMatchingCorrespondence:
@@ -122,7 +122,7 @@ class TestDissectionCorrespondence:
             if not admissible_for_dissection(t):
                 continue
             d = tree_to_dissection(t)
-            internal = sum(1 for deg in _Parse(t.word).degree if deg >= 3)
+            internal = sum(1 for deg in node_degrees(t.word) if deg >= 3)
             assert len(d.diagonals) == internal - 1
 
     def test_not_leaf_rooted(self):

@@ -131,7 +131,7 @@ def test_btree_distributions_are_the_census_keys():
     for b in range(0, 9):
         for n in range(0, 9 - b):
             listed = maps.btree_degree_distributions(b, n)
-            realized = sorted({maps._btree_stats(w) for w in maps._btree_words(b, n)})
+            realized = sorted({trees.degree_distribution(trees.node_degrees(w)) for w in maps._btree_words(b, n)})
             assert listed == realized == sorted(maps._btdeg_census_all(b, n)), (b, n)
 
 

@@ -46,6 +46,10 @@ class TestWordTypes:
         with pytest.raises(ValueError):
             NonCrossingMatching((0, 1))  # fixed points
 
+    def test_pair_off_the_points_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"\(0, 3\)"):
+            NonCrossingMatching.from_pairs([(0, 3)])
+
     def test_matching_parity(self):
         # arcs of a non-crossing matching always join even to odd positions
         for m in enumerate_maps(NCM(4)):
@@ -200,3 +204,15 @@ class TestCubic:
             CubicHamiltonianMap(2, [(0, 1), (0, 2)], [(3, 3)], 0)
         with pytest.raises(ValueError):
             CubicHamiltonianMap(2, [(0, 2), (1, 3)], [], 0)  # crossing inner
+
+    def test_chord_end_past_the_cycle_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            CubicHamiltonianMap(1, [(0, 5)], [])
+
+    def test_negative_chord_end_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+            CubicHamiltonianMap(1, [(0, -1)], [])
+
+    def test_root_off_the_empty_cycle_is_refused(self):
+        with pytest.raises(ValueError, match="root edge 3"):
+            CubicHamiltonianMap(0, [], [], 3)

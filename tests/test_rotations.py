@@ -86,6 +86,16 @@ class TestOrders:
             with pytest.raises(ValueError, match=f"k={fam.k}"):
                 fam.order(INTERNAL)
 
+    @pytest.mark.parametrize("fam, kind", [
+        (LeafRootedDeg(()), LEAF), (LeafRootedDeg(()), degree_kind(1)),
+        (InternalRootedDeg(()), INTERNAL)])
+    def test_empty_degree_list_has_order_and_counts_zero(self, fam, kind):
+        # no entry for degree 1 counts as no leaves
+        assert fam.order(kind) == 0
+        for e in (0, 1, 2):
+            query = FixQuery(fam, kind, e)
+            assert fix_count_bruteforce(query) == fix_count_closed(query) == 0
+
 
 class TestFixCounts:
     def test_closed_matches_bruteforce(self):
