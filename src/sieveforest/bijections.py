@@ -10,10 +10,14 @@ partition point i owns the two circle positions 2i, 2i+1 and a block
 {2a_m + 1, 2a_1}.  Rotating the thickened matching by one step is the Kreweras
 complement; by two steps, the rotation of the partition by one point.  All
 equivariance contracts then hold by construction.
+
+A dissection is checked and inverted through its chord word, whose arcs are
+its sides and diagonals: the word of the tree it corresponds to.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from .maps import NonCrossingMatching, rotate_ncm
 from .trees import PlaneTree, matching, node_degrees
@@ -95,8 +99,8 @@ class NonCrossingPartition:
 
 
 def point_rotation(p: NonCrossingPartition, steps: int = 1) -> NonCrossingPartition:
-    n = p.n
-    return NonCrossingPartition(p.assignment[-steps % n:] + p.assignment[:-steps % n])
+    s = -steps % p.n if p.n else 0
+    return NonCrossingPartition(p.assignment[s:] + p.assignment[:s])
 
 
 def _thicken(p: NonCrossingPartition) -> NonCrossingMatching:
@@ -112,12 +116,11 @@ def _unthicken(m: NonCrossingMatching) -> NonCrossingPartition:
     n = len(m.partner) // 2
     succ = {a: m.partner[2 * a + 1] // 2 for a in range(n)}
     assignment = [-1] * n
-    for a in range(n):
-        if assignment[a] < 0:
-            block = max(assignment) + 1
-            while assignment[a] < 0:
-                assignment[a] = block
-                a = succ[a]
+    for start in range(n):  # a block is named by its first point
+        a = start
+        while assignment[a] < 0:
+            assignment[a] = start
+            a = succ[a]
     return NonCrossingPartition(assignment)
 
 
@@ -148,19 +151,38 @@ class Dissection:
     diagonals: frozenset
 
     def __init__(self, k: int, diagonals):
+        if k < 3:
+            raise ValueError(f"a polygon needs at least 3 vertices, got k = {k}")
         diagonals = frozenset(tuple(sorted(d)) for d in diagonals)
         for a, b in diagonals:
             if not (0 <= a < b < k) or b - a == 1 or (a == 0 and b == k - 1):
                 raise ValueError(f"not a diagonal of a {k}-gon: {(a, b)}")
-        for a, b in diagonals:
-            for c, d in diagonals:
-                if a < c < b < d:
-                    raise ValueError(f"crossing diagonals {(a, b)} and {(c, d)}")
+        # the matcher pairs the letters as the chords do unless two cross
+        word, partner = _dissection_word(k, diagonals)
+        if matching(word) != partner:
+            raise ValueError(f"crossing diagonals in {sorted(diagonals)}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "diagonals", diagonals)
 
     def descriptor(self) -> dict:
         return {"k": self.k, "diagonals": sorted(list(d) for d in self.diagonals)}
+
+
+def _dissection_word(k: int, diagonals) -> tuple[str, tuple[int, ...]]:
+    """(word, partner): the root side (0, 1), the other sides and the
+    diagonals, read vertex by vertex from 1 round to 0 (read as k), with the
+    position of each letter's other chord end.  At each vertex the chords
+    ending there close, longest last, then those starting there open,
+    longest first."""
+    chords = [(1, k)] + [(v, v + 1) for v in range(1, k)]
+    chords += [tuple(sorted((a or k, b))) for a, b in diagonals]
+    ends = sorted([(a, 1, -b, i) for i, (a, b) in enumerate(chords)]
+                  + [(b, 0, -a, i) for i, (a, b) in enumerate(chords)])
+    partner, first = [0] * len(ends), {}
+    for pos, (*_, i) in enumerate(ends):
+        j = first.setdefault(i, pos)
+        partner[pos], partner[j] = j, pos
+    return "".join(")("[e[1]] for e in ends), tuple(partner)
 
 
 def rotate_dissection(d: Dissection, steps: int = 1) -> Dissection:
@@ -181,45 +203,16 @@ def tree_to_dissection(t: PlaneTree) -> Dissection:
         raise Degree2NodePresent(f"{t} has a degree-2 vertex")
     if size == 2:
         raise ValueError("dissection correspondence needs an internal vertex")
-    # the edge opened at o leads to a leaf exactly when it closes at o + 1
-    leaves = [o for o in range(size) if partner[o] == o + 1]
-    k = len(leaves) + 1  # plus the root leaf
-    index_after = lambda pos: sum(1 for o in leaves if o < pos)
-    diagonals = []
-    for o in range(1, size):
-        if partner[o] > o + 1:
-            j = index_after(o) + 1
-            jp = index_after(partner[o])
-            diagonals.append((j, (jp + 1) % k))
+    # the edge opened at o leads to a leaf exactly when it closes at o + 1;
+    # leaves_before[pos] counts those opened before pos
+    leaves_before = list(itertools.accumulate(
+        (partner[o] == o + 1 for o in range(size)), initial=0))
+    k = leaves_before[size] + 1  # plus the root leaf
+    diagonals = [(leaves_before[o] + 1, (leaves_before[partner[o]] + 1) % k)
+                 for o in range(1, size) if partner[o] > o + 1]
     return Dissection(k, diagonals)
 
 
 def dissection_to_tree(d: Dissection) -> PlaneTree:
-    """Inverse correspondence: march faces inward from the root side (0, 1)."""
-    k = d.k
-    edges: dict[int, set[int]] = {v: set() for v in range(k)}
-    for v in range(k):
-        edges[v].add((v + 1) % k)
-        edges[(v + 1) % k].add(v)
-    for a, b in d.diagonals:
-        edges[a].add(b)
-        edges[b].add(a)
-
-    def rec(a: int, b: int) -> str:
-        """Children words of the face adjacent to segment (a, b), looking into
-        the region a -> a+1 -> ... -> b (cyclically)."""
-        parts = []
-        v = a
-        while v != b:
-            span = (b - v) % k
-            cand = [c for c in edges[v]
-                    if 0 < (c - v) % k <= span and not (v == a and c == b)]
-            nxt = max(cand, key=lambda c: (c - v) % k)
-            if (nxt - v) % k == 1:
-                parts.append("()")
-            else:
-                parts.append("(" + rec(v, nxt) + ")")
-            v = nxt
-        return "".join(parts)
-
-    return PlaneTree("(" + rec(1, 0) + ")")
+    """Inverse correspondence: the chord word of the dissection."""
+    return PlaneTree(_dissection_word(d.k, d.diagonals)[0])

@@ -526,6 +526,8 @@ class CubicHamiltonianMap:
     root: int
 
     def __init__(self, n: int, inner, outer, root: int = 0):
+        object.__setattr__(self, "n", n)
+        _check_sizes(self, "n")
         inner = frozenset(tuple(sorted(p)) for p in inner)
         outer = frozenset(tuple(sorted(p)) for p in outer)
         size = 2 * n
@@ -538,7 +540,6 @@ class CubicHamiltonianMap:
                 or matching(word) != partner):
             raise ValueError("chords must meet every cycle vertex once, "
                              "without crossing on the same side")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "root", root)

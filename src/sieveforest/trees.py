@@ -18,7 +18,9 @@ formulas most families share (b-trees by size and by degrees), the eight
 plane-tree families, the tree center, and the two structural surgeries
 used to classify trees fixed by a power of the rotation: cutting the
 central edge (half_tree / glue_halves) and keeping a 1/d sector around the
-central vertex (sector / replicate_sector).
+central vertex (sector / replicate_sector).  Both are re-rootings: rooted
+at its central vertex, a tree fixed by the 2n/d rotation has the word u^d,
+and rooted at a marked leaf, a half is '(' + its subtrees + ')'.
 
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
@@ -781,21 +783,11 @@ def glue_halves(marked: MarkedTree) -> PlaneTree:
         raise MarkedLeafIsRoot("the marked node is the root")
     if not (1 <= m < len(w) and w[m - 1] == "(" and w[m] == ")"):
         raise MarkedLeafIsRoot(f"corner {m} of {w!r} is not a non-root leaf")
-    # The second copy is toured from the ex-leaf's neighbour onwards: re-root
-    # it just past the marked leaf, whose edge then sits at the end, and drop it.
-    inner = shift_root(w, -(m + 1))
-    assert inner[-2:] == "()"
-    return PlaneTree(w[:m - 1] + "(" + inner[:-2] + ")" + w[m + 1:])
-
-
-def _subtree_segments(chunk: str) -> list[str]:
-    """Split a concatenation of balanced '(s)' segments."""
-    partner = matching(chunk)
-    segs, start = [], 0
-    while start < len(chunk):
-        segs.append(chunk[start:partner[start] + 1])
-        start = partner[start] + 1
-    return segs
+    # Rooted at the marked leaf, a copy is '(' + its other subtrees + ')'.
+    # Hanging the second copy's subtrees at the leaf makes the leaf that
+    # copy's neighbour; re-rooting by m - 1 brings back the first root.
+    half = shift_root(w, -m)
+    return PlaneTree(shift_root(half + half[1:-1], m - 1))
 
 
 def sector(tree: PlaneTree, d: int) -> MarkedTree:
@@ -818,16 +810,10 @@ def sector(tree: PlaneTree, d: int) -> MarkedTree:
         raise DegreeNotDivisible(f"central degree {degree} not divisible by {d}")
     if shift_root(w, 2 * n // d) != w:
         raise NotFixed(f"{tree} is not fixed by the 2n/{d} rotation")
-    keep = degree // d
+    # rooted at the central vertex the word is u^d, u its first sector
     q0 = c.corner
-    if q0 == 0:
-        segs = _subtree_segments(w)
-        return MarkedTree(PlaneTree("".join(segs[:keep])), 0)
-    entry = q0 - 1
-    exit_pos = matching(w)[entry]
-    x, y, z = w[:entry], w[q0:exit_pos], w[exit_pos + 1:]
-    segs = _subtree_segments(y)
-    return MarkedTree(PlaneTree(x + "(" + "".join(segs[:keep - 1]) + ")" + z), q0)
+    u = shift_root(w, -q0)[:2 * n // d]
+    return MarkedTree(PlaneTree(shift_root(u, q0)), q0)
 
 
 def replicate_sector(marked: MarkedTree, d: int) -> PlaneTree:
@@ -835,17 +821,6 @@ def replicate_sector(marked: MarkedTree, d: int) -> PlaneTree:
     if d < 1:
         raise ValueError("d must be >= 1")
     w, m = marked.tree.word, marked.mark
-    if m == 0:
-        return PlaneTree(w * d)
-    if not (1 <= m < len(w) and w[m - 1] == "("):
+    if m != 0 and not (1 <= m < len(w) and w[m - 1] == "("):
         raise ValueError(f"corner {m} is not a first-arrival corner of {w!r}")
-    entry = m - 1
-    exit_pos = matching(w)[entry]
-    x, y, z = w[:entry], w[m:exit_pos], w[exit_pos + 1:]
-    # Pendant form of the root-side piece: as for glue_halves, tour it from the
-    # marked node, which is re-rooting the piece just past its leaf stand-in.
-    piece = x + "()" + z
-    inner = shift_root(piece, -(m + 1))
-    assert inner[-2:] == "()"
-    pendant = "(" + inner[:-2] + ")"
-    return PlaneTree(x + "(" + y + (pendant + y) * (d - 1) + ")" + z)
+    return PlaneTree(shift_root(shift_root(w, -m) * d, m))

@@ -138,3 +138,23 @@ class TestDissectionCorrespondence:
             Dissection(5, [(0, 1)])  # a side, not a diagonal
         with pytest.raises(ValueError):
             Dissection(6, [(0, 3), (1, 4)])  # crossing
+
+    @pytest.mark.parametrize("k", [2, 1, 0, -1])
+    def test_polygon_with_fewer_than_three_vertices_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            Dissection(k, [])
+
+    def test_large_polygon_round_trip(self):
+        """A caterpillar with 2,403 edges is a 1,203-gon; the correspondence
+        is not bounded by the recursion limit."""
+        t = PlaneTree("(" + "()(" * 1200 + "()()" + ")" * 1200 + ")")
+        d = tree_to_dissection(t)
+        assert (t.n, d.k, len(d.diagonals)) == (2403, 1203, 1200)
+        assert dissection_to_tree(d) == t
+
+
+class TestPartitionEdgeCases:
+    def test_empty_partition_rotates_to_itself(self):
+        p = NonCrossingPartition([])
+        assert point_rotation(p, 1) == p
+        assert point_rotation(p, -3) == p

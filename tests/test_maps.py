@@ -216,3 +216,7 @@ class TestCubic:
     def test_root_off_the_empty_cycle_is_refused(self):
         with pytest.raises(ValueError, match="root edge 3"):
             CubicHamiltonianMap(0, [], [], 3)
+
+    def test_negative_size_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+            CubicHamiltonianMap(-1, [], [])

@@ -5,26 +5,32 @@ The reference implementations below are the word parser (`RefParse`), the
 tree center, the restricted rotation, the dissection correspondence, the
 matching rotation by partner arrays and the cubic-map validator with its
 root moves, as they were before every member was read through
-`node_degrees`, `corner_nodes`, the matcher and the re-rooting of `trees`.
-They are kept here, word for word in behaviour, as the oracle the kernel
-readers must match.
+`node_degrees`, `corner_nodes`, the matcher and the re-rooting of `trees`;
+and the two surgeries and the dissection validator and face march, as they
+were before they became re-rootings and chord words.  They are kept here,
+word for word in behaviour, as the oracle the kernel readers must match.
 """
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sieveforest.bijections import (Degree2NodePresent, Dissection,
-                                    NotLeafRooted, tree_to_dissection)
+                                    NotLeafRooted, dissection_to_tree,
+                                    tree_to_dissection)
 from sieveforest.maps import (CubicHamiltonianMap, NonCrossingMatching, TMn,
                               TreeRootedMap, advance_root, enumerate_maps,
                               from_cubic, rotate_ncm, to_cubic)
 from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, NoEligibleCorner,
                                    degree_kind, rotate)
-from sieveforest.trees import (CentralEdge, CentralVertex, PlaneTree,
-                               _btree_words, center, corner_nodes, matching,
-                               node_degrees, shift_root)
+from sieveforest.trees import (CentralEdge, CentralVertex, DegreeNotDivisible,
+                               MarkedLeafIsRoot, MarkedTree, NotFixed,
+                               NotVertexCentered, PlaneTree, _btree_words,
+                               center, corner_nodes, glue_halves, matching,
+                               node_degrees, replicate_sector, sector,
+                               shift_root)
 
 MAX_N = 7
 KINDS = (ORDINARY, LEAF, INTERNAL) + tuple(degree_kind(d) for d in range(1, 6))
@@ -134,6 +140,104 @@ def ref_tree_to_dissection(word: str) -> Dissection:
     return Dissection(k, diagonals)
 
 
+def ref_glue_halves(w: str, m: int) -> str:
+    if m == 0:
+        raise MarkedLeafIsRoot(w)
+    if not (1 <= m < len(w) and w[m - 1] == "(" and w[m] == ")"):
+        raise MarkedLeafIsRoot(w)
+    inner = shift_root(w, -(m + 1))
+    assert inner[-2:] == "()"
+    return w[:m - 1] + "(" + inner[:-2] + ")" + w[m + 1:]
+
+
+def ref_subtree_segments(chunk: str) -> list[str]:
+    partner = matching(chunk)
+    segs, start = [], 0
+    while start < len(chunk):
+        segs.append(chunk[start:partner[start] + 1])
+        start = partner[start] + 1
+    return segs
+
+
+def ref_sector(w: str, d: int) -> tuple[str, int]:
+    if d < 2:
+        raise ValueError(d)
+    c = center(PlaneTree(w))
+    if not isinstance(c, CentralVertex):
+        raise NotVertexCentered(w)
+    n = len(w) // 2
+    degree = len(c.corners)
+    if degree % d != 0:
+        raise DegreeNotDivisible(w)
+    if shift_root(w, 2 * n // d) != w:
+        raise NotFixed(w)
+    keep = degree // d
+    q0 = c.corner
+    if q0 == 0:
+        return "".join(ref_subtree_segments(w)[:keep]), 0
+    entry = q0 - 1
+    exit_pos = matching(w)[entry]
+    x, y, z = w[:entry], w[q0:exit_pos], w[exit_pos + 1:]
+    segs = ref_subtree_segments(y)
+    return x + "(" + "".join(segs[:keep - 1]) + ")" + z, q0
+
+
+def ref_replicate_sector(w: str, m: int, d: int) -> str:
+    if d < 1:
+        raise ValueError(d)
+    if m == 0:
+        return w * d
+    if not (1 <= m < len(w) and w[m - 1] == "("):
+        raise ValueError(m)
+    entry = m - 1
+    exit_pos = matching(w)[entry]
+    x, y, z = w[:entry], w[m:exit_pos], w[exit_pos + 1:]
+    inner = shift_root(x + "()" + z, -(m + 1))
+    assert inner[-2:] == "()"
+    pendant = "(" + inner[:-2] + ")"
+    return x + "(" + y + (pendant + y) * (d - 1) + ")" + z
+
+
+def ref_dissection(k: int, diagonals) -> frozenset:
+    """The validator of `Dissection`: its normalized diagonals."""
+    diagonals = frozenset(tuple(sorted(d)) for d in diagonals)
+    for a, b in diagonals:
+        if not (0 <= a < b < k) or b - a == 1 or (a == 0 and b == k - 1):
+            raise ValueError((a, b))
+    for a, b in diagonals:
+        for c, d in diagonals:
+            if a < c < b < d:
+                raise ValueError((a, b, c, d))
+    return diagonals
+
+
+def ref_dissection_to_tree(k: int, diagonals) -> str:
+    edges: dict[int, set[int]] = {v: set() for v in range(k)}
+    for v in range(k):
+        edges[v].add((v + 1) % k)
+        edges[(v + 1) % k].add(v)
+    for a, b in diagonals:
+        edges[a].add(b)
+        edges[b].add(a)
+
+    def rec(a: int, b: int) -> str:
+        parts = []
+        v = a
+        while v != b:
+            span = (b - v) % k
+            cand = [c for c in edges[v]
+                    if 0 < (c - v) % k <= span and not (v == a and c == b)]
+            nxt = max(cand, key=lambda c: (c - v) % k)
+            if (nxt - v) % k == 1:
+                parts.append("()")
+            else:
+                parts.append("(" + rec(v, nxt) + ")")
+            v = nxt
+        return "".join(parts)
+
+    return "(" + rec(1, 0) + ")"
+
+
 def ref_rotate_ncm(partner, steps: int):
     size = len(partner)
     if size == 0:
@@ -237,6 +341,81 @@ def test_dissection_matches_the_reference():
     for word in tree_words():
         new = outcome(tree_to_dissection, PlaneTree(word))
         assert new == outcome(ref_tree_to_dissection, word), word
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sector_matches_the_reference(n):
+    """Every tree with n <= 10 at every d >= 2 dividing the central degree,
+    and for n <= 6 at every d from -1 to 2n + 1: the same marked tree or
+    error."""
+    for word in _btree_words(0, n):
+        c = center(PlaneTree(word))
+        degree = len(c.corners) if isinstance(c, CentralVertex) else 0
+        ds = range(-1, 2 * n + 2) if n <= 6 else \
+            [d for d in range(2, degree + 1) if degree % d == 0]
+        for d in ds:
+            ref = outcome(ref_sector, word, d)
+            if not isinstance(ref, type):
+                ref = MarkedTree(PlaneTree(ref[0]), ref[1])
+            assert outcome(sector, PlaneTree(word), d) == ref, (word, d)
+
+
+def test_replicate_and_glue_match_the_reference():
+    """Every mark from -2 to 2n + 1 of every tree with n <= 7 (the
+    first-arrival and non-root-leaf marks among them), and d from 0 to 3."""
+    for word in tree_words():
+        for m in range(-2, len(word) + 2):
+            marked = MarkedTree(PlaneTree(word), m)
+            for d in range(4):
+                new = outcome(lambda: replicate_sector(marked, d).word)
+                assert new == outcome(ref_replicate_sector, word, m, d), (word, m, d)
+            new = outcome(lambda: glue_halves(marked).word)
+            assert new == outcome(ref_glue_halves, word, m), (word, m)
+
+
+def test_dissection_to_tree_matches_the_reference():
+    seen = 0
+    for n in range(11):
+        for word in _btree_words(0, n):
+            d = outcome(tree_to_dissection, PlaneTree(word))
+            if isinstance(d, Dissection):
+                seen += 1
+                assert dissection_to_tree(d).word \
+                    == ref_dissection_to_tree(d.k, d.diagonals) == word
+    assert seen == 385
+
+
+def assert_dissection_matches(k, diagonals):
+    new = outcome(Dissection, k, diagonals)
+    ref = outcome(ref_dissection, k, diagonals)
+    if isinstance(new, Dissection):
+        assert new.diagonals == ref, (k, diagonals)
+        assert dissection_to_tree(new).word == ref_dissection_to_tree(k, ref)
+    else:
+        assert new == ref, (k, diagonals)
+
+
+def test_dissection_validation_on_every_diagonal_set():
+    """All 16,933 sets of diagonals of the k-gons with 3 <= k <= 7."""
+    seen = 0
+    for k in range(3, 8):
+        diagonals = [(a, b) for a in range(k) for b in range(a + 2, k)
+                     if (a, b) != (0, k - 1)]
+        for size in range(len(diagonals) + 1):
+            for subset in itertools.combinations(diagonals, size):
+                assert_dissection_matches(k, subset)
+                seen += 1
+    assert seen == 16933
+
+
+def test_dissection_validation_on_random_pairs():
+    """20,000 random lists of pairs, in range or not, for 3 <= k <= 12."""
+    rng = random.Random(11)
+    for _ in range(20000):
+        k = rng.randint(3, 12)
+        pairs = [(rng.randint(-1, k), rng.randint(-1, k))
+                 for _ in range(rng.randint(0, 6))]
+        assert_dissection_matches(k, pairs)
 
 
 # ---------------------------------------------------------------------------
