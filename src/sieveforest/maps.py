@@ -25,6 +25,13 @@ matchings have the words of the b-trees with no buds, and `_degrees_fix`
 for `BTDeg`.  The tree-rooted map families decouple into a b-tree family
 times a matching family, and their fixed points multiply accordingly; none
 of them builds a family object to count.
+
+The censuses of `BT`, `BTDeg` and `NCM` come from one walk per (b, n),
+`_btdeg_census_all`, which parses no finished word: it carries each
+prefix's degree counts and arc offsets, and re-roots a word only to confirm
+a period below its length.  `NCM` is counted by the b = 0 walk, and
+`BTDeg` lists its members from one grouping of the words by degree
+distribution.
 """
 from __future__ import annotations
 
@@ -65,6 +72,20 @@ class NonCrossingMatching:
     partner: tuple[int, ...]
 
     def __init__(self, partner):
+        self._set_partner(partner)
+        # the matcher pairs the word's arcs without crossings
+        if matching(self.word) != self.partner:
+            raise ValueError(f"crossing arcs in {self.partner}")
+
+    @classmethod
+    def _from_matcher(cls, partner) -> "NonCrossingMatching":
+        """A pairing the arc matcher read off a word, which cannot cross:
+        every check but the crossing round trip."""
+        m = cls.__new__(cls)
+        m._set_partner(partner)
+        return m
+
+    def _set_partner(self, partner) -> None:
         partner = tuple(partner)
         size = len(partner)
         if size % 2:
@@ -73,9 +94,6 @@ class NonCrossingMatching:
             if not 0 <= j < size or j == i or partner[j] != i:
                 raise ValueError(f"not an involution without fixed points: {partner}")
         object.__setattr__(self, "partner", partner)
-        # the matcher pairs the word's arcs without crossings
-        if matching(self.word) != partner:
-            raise ValueError(f"crossing arcs in {partner}")
 
     @property
     def word(self) -> str:
@@ -209,9 +227,8 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
 
     def members(self):
         if self.feasible():
-            for w in _btree_words(self.b, self.n):
-                if degree_distribution(node_degrees(w)) == self.degrees:
-                    yield BTreeWord(w)
+            for w in _btree_words_by_degrees(self.b, self.n).get(self.degrees, ()):
+                yield BTreeWord(w)
 
     def _census(self):
         """This degree distribution's group of the one-walk b-tree census."""
@@ -301,6 +318,9 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
 
 @dataclasses.dataclass(frozen=True)
 class NCM(_Maps, name="ncm", guard=5):
+    """Non-crossing matchings of 2j points, turned by `rotate_ncm`.  Their
+    words are the b-tree words with no buds, so the b = 0 walk counts them."""
+
     j: int
 
     def __post_init__(self):
@@ -316,6 +336,11 @@ class NCM(_Maps, name="ncm", guard=5):
     def members(self):
         yield from _ncm_list(self.j)
 
+    def _census(self):
+        """The b = 0 walk: a matching's word is a b-tree word with no buds,
+        and `rotate_ncm` re-roots it."""
+        return BT(0, self.j)._census()
+
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.j, d)
 
@@ -323,6 +348,16 @@ class NCM(_Maps, name="ncm", guard=5):
 @functools.lru_cache(maxsize=None)
 def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
     return tuple(NonCrossingMatching(matching(w)) for w in _btree_words(0, j))
+
+
+@functools.lru_cache(maxsize=32)
+def _btree_words_by_degrees(b: int, n: int) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """The words of _btree_words(b, n) grouped by degree distribution, in
+    one pass; each group keeps the words' order."""
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for w in _btree_words(b, n):
+        groups.setdefault(degree_distribution(node_degrees(w)), []).append(w)
+    return {degrees: tuple(words) for degrees, words in groups.items()}
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
@@ -380,7 +415,7 @@ def rotate_ncm(m: NonCrossingMatching, steps: int = 1) -> NonCrossingMatching:
     """Every point moved by +steps: the re-rooting of the matching's word."""
     word = m.word
     moved = _reroot(word, steps)
-    return m if moved == word else NonCrossingMatching(matching(moved))
+    return m if moved == word else NonCrossingMatching._from_matcher(matching(moved))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +437,13 @@ def _btdeg_census_all(b: int, n: int) -> dict:
     """Period census of BT(b, n) grouped by degree distribution, in one walk.
 
     The walk builds the words in `_btree_words` order and carries, for the
-    prefix, the node degrees (a bud adds one) and the arc offsets of
-    `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
-    and L - (i - j) at i; a bud is 0.  A finished word is not parsed again:
-    its period is read off the offsets and confirmed by one literal
-    re-rooting of the word.
+    prefix, the node degrees (a bud adds one), how many nodes have each
+    degree, and the arc offsets of `arc_offsets`: closing the '(' at j by
+    the ')' at i writes i - j at j and L - (i - j) at i; a bud is 0.  A
+    finished word is not parsed again: it is grouped by the carried degree
+    counts, and its period is read off the offsets.  A period p below the
+    length L is confirmed by one literal re-rooting of the word; re-rooting
+    by the whole tour is the identity, so p = L needs none.
     """
     if b < 0 or n < 0:
         return {}
@@ -414,6 +451,10 @@ def _btdeg_census_all(b: int, n: int) -> dict:
     letters = [""] * size
     # Node k >= 1 is the k-th node reached, below the k-th '('.
     degree = [0] * (n + 1)
+    # dist[d] = nodes reached so far with degree d (at most n + b); the
+    # root starts at 0
+    dist = [0] * (n + b + 1)
+    dist[0] = 1
     parent = [0] * (n + 1)
     opened_at = [0] * (n + 1)  # position of the '(' above each node
     # one byte per offset; past 255 letters (enumerable only with very few
@@ -432,22 +473,30 @@ def _btdeg_census_all(b: int, n: int) -> dict:
                 letters[i] = ")"
                 node = parent[node]
                 i += 1
-            word = "".join(letters)
             p = cyclic_period(encode(offsets))
-            if _reroot(word, -p) != word:
-                raise AssertionError(f"{word} is not fixed by its period {p}")
-            counts = groups.setdefault(degree_distribution(degree), {})
+            if p < size:
+                word = "".join(letters)
+                if _reroot(word, -p) != word:
+                    raise AssertionError(f"{word} is not fixed by its period {p}")
+            counts = groups.setdefault(tuple(dist), {})
             counts[p] = counts.get(p, 0) + 1
             return
         if opens < n:
             child = opens + 1
-            degree[node] += 1
+            d = degree[node]
+            degree[node] = d + 1
+            dist[d] -= 1
+            dist[d + 1] += 1
+            dist[1] += 1
             degree[child] = 1
             parent[child] = node
             opened_at[child] = i
             letters[i] = "("
             walk(i + 1, child, buds, child)
-            degree[node] -= 1
+            degree[node] = d
+            dist[d] += 1
+            dist[d + 1] -= 1
+            dist[1] -= 1
         if node:
             j = opened_at[node]
             offsets[j] = i - j
@@ -455,14 +504,20 @@ def _btdeg_census_all(b: int, n: int) -> dict:
             letters[i] = ")"
             walk(i + 1, opens, buds, parent[node])
         if buds < b:
-            degree[node] += 1
+            d = degree[node]
+            degree[node] = d + 1
+            dist[d] -= 1
+            dist[d + 1] += 1
             offsets[i] = 0
             letters[i] = "b"
             walk(i + 1, opens, buds + 1, node)
-            degree[node] -= 1
+            degree[node] = d
+            dist[d] += 1
+            dist[d + 1] -= 1
 
     walk(0, 0, 0, 0)
-    return {key: tuple(sorted(counts.items())) for key, counts in groups.items()}
+    return {_normalize_degrees(key[1:]): tuple(sorted(counts.items()))
+            for key, counts in groups.items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:

@@ -674,23 +674,42 @@ def closed_count(family) -> int:
 
 def degree_solutions(nodes: int, degree_sum: int) -> list[tuple[int, ...]]:
     """Solutions of sum(n_i) = nodes, sum(i*n_i) = degree_sum with n_i >= 0,
-    trailing zeros dropped, in increasing order."""
+    trailing zeros dropped, in increasing order.
+
+    The walk chooses n_1, n_2, ... in turn, each in increasing order, and
+    only values that leave a solution: r nodes still to place, each of
+    degree above i, need a degree sum of at least (i + 1) r.  rest[k] holds
+    the nodes and degree sum still to place once counts[:k] are chosen.
+    """
+    if nodes <= 0 or degree_sum < nodes:
+        return [()] if nodes == degree_sum == 0 else []
     out: list[tuple[int, ...]] = []
-
-    def rec(deg: int, counts: list[int], nodes_left: int, degsum_left: int) -> None:
-        if nodes_left == 0:
-            if degsum_left == 0:
-                out.append(tuple(counts))
-            return
-        if deg > degsum_left:
-            return
-        for c in range(min(nodes_left, degsum_left // deg) + 1):
+    counts: list[int] = []
+    rest = [(nodes, degree_sum)]
+    while True:
+        r, s = rest[-1]
+        if r:
+            deg = len(counts) + 1
+            c = max(0, (deg + 1) * r - s)  # the least n_deg that leaves a solution
             counts.append(c)
-            rec(deg + 1, counts, nodes_left - c, degsum_left - deg * c)
-            counts.pop()
-
-    rec(1, [], nodes, degree_sum)
-    return out
+            rest.append((r - c, s - deg * c))
+            continue
+        if s == 0:
+            out.append(tuple(counts))
+        # advance the deepest count that can grow, dropping those that cannot
+        while counts:
+            deg = len(counts)
+            r, s = rest[-2]
+            c = counts[-1] + 1
+            if c > r or deg * c > s:
+                counts.pop()
+                rest.pop()
+                continue
+            counts[-1] = c
+            rest[-1] = (r - c, s - deg * c)
+            break
+        else:
+            return out
 
 
 def degree_distributions(n: int):

@@ -4,6 +4,8 @@ The oracle below tries every divisor of the rotation order, smallest first,
 with a literal rotation; the census under test reads each period off the arc
 offsets and rotates once to confirm it.
 """
+import pytest
+
 from sieveforest import maps, rotations, trees
 from sieveforest.maps import BT, BTDeg, NCM, TMDeg, TMij, TMn
 from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, FixQuery,
@@ -87,7 +89,7 @@ def map_families():
     out += [TMn(n) for n in range(1, 4)]
     out += [TMDeg(j, d) for j in range(0, 3) for i in range(0, 4 - j)
             for d in maps.btree_degree_distributions(2 * j, i)]
-    out += [NCM(j) for j in range(0, 7)]
+    out += [NCM(j) for j in range(0, 9)]
     return out
 
 
@@ -118,6 +120,53 @@ def test_btree_walk_census_matches_divisor_trial():
     assert maps._btdeg_census_all(2, -1) == {}
 
 
+def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
+    """A period below the word length rests on a literal re-rooting: a
+    re-rooting that disagrees fails the census of ()() (period 2 of 4)."""
+    maps._btdeg_census_all.cache_clear()
+    monkeypatch.setattr(maps, "_reroot", lambda word, steps: word + "b")
+    try:
+        with pytest.raises(AssertionError):
+            maps._btdeg_census_all(0, 2)
+    finally:
+        maps._btdeg_census_all.cache_clear()
+
+
+def test_btree_walk_carries_its_degree_distribution(monkeypatch):
+    """With `degree_distribution` refused, the walk still groups every
+    word of BT(3, 4) as a parse of each word does."""
+    expected = {}
+    for w in maps._btree_words(3, 4):
+        degrees = trees.degree_distribution(trees.node_degrees(w))
+        p = trees.cyclic_period(trees.arc_offsets(w))
+        counts = expected.setdefault(degrees, {})
+        counts[p] = counts.get(p, 0) + 1
+    expected = {k: tuple(sorted(c.items())) for k, c in expected.items()}
+
+    def refuse(degree):
+        raise AssertionError("the walk parses a finished word")
+
+    maps._btdeg_census_all.cache_clear()
+    monkeypatch.setattr(maps, "degree_distribution", refuse)
+    try:
+        assert maps._btdeg_census_all(3, 4) == expected
+    finally:
+        maps._btdeg_census_all.cache_clear()
+
+
+def test_btdeg_members_keep_the_scan_order():
+    """The grouped words against a scan of every b-tree word, b + n <= 8."""
+    for b in range(0, 9):
+        for n in range(0, 9 - b):
+            for degrees in maps.btree_degree_distributions(b, n):
+                scanned = [w for w in maps._btree_words(b, n)
+                           if trees.degree_distribution(trees.node_degrees(w))
+                           == degrees]
+                family = BTDeg(b, degrees)
+                got = [m.word for m in family.members()]
+                assert got == (scanned if family.feasible() else []), (b, degrees)
+
+
 def test_btree_walk_past_255_letters_matches_closed_form():
     family = BT(254, 1)  # 256 letters: the offsets no longer fit in a byte
     order = family.order()
@@ -133,6 +182,12 @@ def test_btree_distributions_are_the_census_keys():
             listed = maps.btree_degree_distributions(b, n)
             realized = sorted({trees.degree_distribution(trees.node_degrees(w)) for w in maps._btree_words(b, n)})
             assert listed == realized == sorted(maps._btdeg_census_all(b, n)), (b, n)
+
+
+def test_btree_distributions_of_one_node_with_many_buds():
+    # one bare node with 1,000 buds: a walk with a frame per degree would
+    # pass the recursion limit
+    assert maps.btree_degree_distributions(1000, 0) == [(0,) * 999 + (1,)]
 
 
 def test_enumeration_order_and_membership_unchanged():

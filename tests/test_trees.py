@@ -7,6 +7,7 @@ from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, CentralEdge,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
                                MarkedTree, PlaneTree, RootDegree, catalan,
                                center, closed_count, degree_distributions,
+                               degree_solutions,
                                enumerate_family, family_from_descriptor,
                                glue_halves, half_tree, matching,
                                replicate_sector, sector, shift_root, stats)
@@ -143,3 +144,31 @@ class TestSurgeries:
         t = PlaneTree("(()())")
         with pytest.raises(ValueError):
             sector(t, 2)  # R^(2n/2) does not fix this tree
+
+
+def ref_degree_solutions(nodes: int, degree_sum: int) -> list[tuple[int, ...]]:
+    """The recursive walk, one frame per degree: the reference."""
+    out = []
+
+    def rec(deg, counts, nodes_left, degsum_left):
+        if nodes_left == 0:
+            if degsum_left == 0:
+                out.append(tuple(counts))
+            return
+        if deg > degsum_left:
+            return
+        for c in range(min(nodes_left, degsum_left // deg) + 1):
+            counts.append(c)
+            rec(deg + 1, counts, nodes_left - c, degsum_left - deg * c)
+            counts.pop()
+
+    rec(1, [], nodes, degree_sum)
+    return out
+
+
+class TestDegreeSolutions:
+    def test_matches_the_recursive_reference(self):
+        for nodes in range(-2, 11):
+            for degree_sum in range(-2, 23):
+                assert degree_solutions(nodes, degree_sum) \
+                    == ref_degree_solutions(nodes, degree_sum), (nodes, degree_sum)
