@@ -29,9 +29,7 @@ of them builds a family object to count.
 The censuses of `BT`, `BTDeg` and `NCM` come from one walk per (b, n),
 `_btdeg_census_all`, which parses no finished word: it carries each
 prefix's degree counts and arc offsets, and re-roots a word only to confirm
-a period below its length.  `NCM` is counted by the b = 0 walk, and
-`BTDeg` lists its members from one grouping of the words by degree
-distribution.
+a period below its length.  `NCM` is counted by the b = 0 walk.
 """
 from __future__ import annotations
 
@@ -72,20 +70,6 @@ class NonCrossingMatching:
     partner: tuple[int, ...]
 
     def __init__(self, partner):
-        self._set_partner(partner)
-        # the matcher pairs the word's arcs without crossings
-        if matching(self.word) != self.partner:
-            raise ValueError(f"crossing arcs in {self.partner}")
-
-    @classmethod
-    def _from_matcher(cls, partner) -> "NonCrossingMatching":
-        """A pairing the arc matcher read off a word, which cannot cross:
-        every check but the crossing round trip."""
-        m = cls.__new__(cls)
-        m._set_partner(partner)
-        return m
-
-    def _set_partner(self, partner) -> None:
         partner = tuple(partner)
         size = len(partner)
         if size % 2:
@@ -94,6 +78,9 @@ class NonCrossingMatching:
             if not 0 <= j < size or j == i or partner[j] != i:
                 raise ValueError(f"not an involution without fixed points: {partner}")
         object.__setattr__(self, "partner", partner)
+        # the matcher pairs the word's arcs without crossings
+        if matching(self.word) != partner:
+            raise ValueError(f"crossing arcs in {partner}")
 
     @property
     def word(self) -> str:
@@ -227,8 +214,9 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
 
     def members(self):
         if self.feasible():
-            for w in _btree_words_by_degrees(self.b, self.n).get(self.degrees, ()):
-                yield BTreeWord(w)
+            for w in _btree_words(self.b, self.n):
+                if degree_distribution(node_degrees(w)) == self.degrees:
+                    yield BTreeWord(w)
 
     def _census(self):
         """This degree distribution's group of the one-walk b-tree census."""
@@ -319,7 +307,9 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
 @dataclasses.dataclass(frozen=True)
 class NCM(_Maps, name="ncm", guard=5):
     """Non-crossing matchings of 2j points, turned by `rotate_ncm`.  Their
-    words are the b-tree words with no buds, so the b = 0 walk counts them."""
+    words are the b-tree words with no buds, so the brute-force census is
+    the b = 0 b-tree walk: it builds no matching and does not exercise
+    `rotate_ncm`, which the divisor-trial census test checks instead."""
 
     j: int
 
@@ -348,16 +338,6 @@ class NCM(_Maps, name="ncm", guard=5):
 @functools.lru_cache(maxsize=None)
 def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
     return tuple(NonCrossingMatching(matching(w)) for w in _btree_words(0, j))
-
-
-@functools.lru_cache(maxsize=32)
-def _btree_words_by_degrees(b: int, n: int) -> dict[tuple[int, ...], tuple[str, ...]]:
-    """The words of _btree_words(b, n) grouped by degree distribution, in
-    one pass; each group keeps the words' order."""
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for w in _btree_words(b, n):
-        groups.setdefault(degree_distribution(node_degrees(w)), []).append(w)
-    return {degrees: tuple(words) for degrees, words in groups.items()}
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
@@ -415,7 +395,7 @@ def rotate_ncm(m: NonCrossingMatching, steps: int = 1) -> NonCrossingMatching:
     """Every point moved by +steps: the re-rooting of the matching's word."""
     word = m.word
     moved = _reroot(word, steps)
-    return m if moved == word else NonCrossingMatching._from_matcher(matching(moved))
+    return m if moved == word else NonCrossingMatching(matching(moved))
 
 
 # ---------------------------------------------------------------------------

@@ -154,19 +154,6 @@ def test_btree_walk_carries_its_degree_distribution(monkeypatch):
         maps._btdeg_census_all.cache_clear()
 
 
-def test_btdeg_members_keep_the_scan_order():
-    """The grouped words against a scan of every b-tree word, b + n <= 8."""
-    for b in range(0, 9):
-        for n in range(0, 9 - b):
-            for degrees in maps.btree_degree_distributions(b, n):
-                scanned = [w for w in maps._btree_words(b, n)
-                           if trees.degree_distribution(trees.node_degrees(w))
-                           == degrees]
-                family = BTDeg(b, degrees)
-                got = [m.word for m in family.members()]
-                assert got == (scanned if family.feasible() else []), (b, degrees)
-
-
 def test_btree_walk_past_255_letters_matches_closed_form():
     family = BT(254, 1)  # 256 letters: the offsets no longer fit in a byte
     order = family.order()
