@@ -4,10 +4,13 @@ Trees <-> non-crossing matchings (edge = arc between the two tour positions),
 trees <-> non-crossing partitions with the Kreweras complement, and leaf-rooted
 trees without degree-2 nodes <-> polygon dissections.
 
-The partition correspondence goes through a thickening of the matching picture:
-partition point i owns the two circle positions 2i, 2i+1 and a block
-{a_1 < ... < a_m} becomes the arcs {2a_t + 1, 2a_(t+1)} plus the closing arc
-{2a_m + 1, 2a_1}.  Rotating the thickened matching by one step is the Kreweras
+A matching is the '()' word of its arcs, and so is the tree: each
+correspondence keeps the word.  A partition is stored as the '()' word of its
+thickening: partition point i owns the two circle positions 2i, 2i+1 and a
+block {a_1 < ... < a_m} becomes the arcs {2a_t + 1, 2a_(t+1)} plus the closing
+arc {2a_m + 1, 2a_1}.  Every non-crossing matching of 2n points is the
+thickening of exactly one non-crossing partition of n points, so the tree's
+word is the partition's too.  Re-rooting the word by one step is the Kreweras
 complement; by two steps, the rotation of the partition by one point.  All
 equivariance contracts then hold by construction.
 
@@ -19,9 +22,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .maps import NonCrossingMatching, rotate_ncm
-from .trees import PlaneTree, matching, node_degrees
-from .rotations import degree_kind, rotate
+from .maps import NonCrossingMatching
+from .trees import PlaneTree, _reroot, _TourWord, matching, node_degrees
 
 
 class NotLeafRooted(ValueError):
@@ -38,7 +40,7 @@ class Degree2NodePresent(ValueError):
 
 def tree_to_ncm(t: PlaneTree) -> NonCrossingMatching:
     """Each edge becomes the arc between its two tour positions."""
-    return NonCrossingMatching(matching(t.word))
+    return NonCrossingMatching(t.word)
 
 
 def ncm_to_tree(m: NonCrossingMatching) -> PlaneTree:
@@ -47,7 +49,7 @@ def ncm_to_tree(m: NonCrossingMatching) -> PlaneTree:
 
 def short_edge_count(m: NonCrossingMatching) -> int:
     """Arcs joining cyclically adjacent points; equals the tree's leaf count."""
-    size = len(m.partner)
+    size = len(m.word)
     return sum(1 for i, p in enumerate(m.partner) if p == (i + 1) % size)
 
 
@@ -55,29 +57,29 @@ def short_edge_count(m: NonCrossingMatching) -> int:
 # Trees <-> non-crossing partitions
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class NonCrossingPartition:
-    """Point -> block id (blocks numbered by first appearance)."""
-
-    assignment: tuple[int, ...]
-
-    def __init__(self, assignment):
-        assignment = tuple(assignment)
-        relabel: dict[int, int] = {}
-        for b in assignment:
-            if b not in relabel:
-                relabel[b] = len(relabel)
-        assignment = tuple(relabel[b] for b in assignment)
-        object.__setattr__(self, "assignment", assignment)
-        # blocks cross exactly when the arcs of their thickening do
-        try:
-            _thicken(self)
-        except ValueError:
-            raise ValueError(f"crossing blocks in {assignment}") from None
+class NonCrossingPartition(_TourWord):
+    """Non-crossing partition of n points, stored as the '()' word of its
+    thickening; `from_blocks` builds it from blocks."""
 
     @property
     def n(self) -> int:
-        return len(self.assignment)
+        return len(self.word) // 2
+
+    @property
+    def assignment(self) -> tuple[int, ...]:
+        """Point -> block id, blocks numbered by first appearance: the arc
+        leaving point a at 2a + 1 lands at the next point of its block."""
+        partner = matching(self.word)
+        assignment = [-1] * self.n
+        blocks = 0
+        for start in range(self.n):
+            if assignment[start] < 0:  # the first point of a new block
+                a = start
+                while assignment[a] < 0:
+                    assignment[a] = blocks
+                    a = partner[2 * a + 1] // 2
+                blocks += 1
+        return tuple(assignment)
 
     def blocks(self) -> list[list[int]]:
         """Blocks as sorted 1-indexed lists, ordered by smallest element."""
@@ -91,52 +93,34 @@ class NonCrossingPartition:
         pts = sorted(p for blk in blocks for p in blk)
         if pts != list(range(1, len(pts) + 1)):
             raise ValueError(f"not a partition of 1..n: {blocks}")
-        assignment = [0] * len(pts)
-        for b, blk in enumerate(blocks):
-            for p in blk:
-                assignment[p - 1] = b
-        return NonCrossingPartition(assignment)
+        arcs = []
+        for blk in blocks:
+            block = sorted(a - 1 for a in blk)
+            arcs += [(2 * a + 1, 2 * b) for a, b in zip(block, block[1:] + block[:1])]
+        # blocks cross exactly when the arcs of their thickening do
+        try:
+            return NonCrossingPartition(NonCrossingMatching.from_pairs(arcs).word)
+        except ValueError:
+            raise ValueError(f"crossing blocks in {blocks}") from None
 
 
 def point_rotation(p: NonCrossingPartition, steps: int = 1) -> NonCrossingPartition:
-    s = -steps % p.n if p.n else 0
-    return NonCrossingPartition(p.assignment[s:] + p.assignment[:s])
-
-
-def _thicken(p: NonCrossingPartition) -> NonCrossingMatching:
-    partner = [0] * (2 * p.n)
-    for blk in p.blocks():
-        pts = [a - 1 for a in blk]
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            partner[2 * a + 1], partner[2 * b] = 2 * b, 2 * a + 1
-    return NonCrossingMatching(partner)
-
-
-def _unthicken(m: NonCrossingMatching) -> NonCrossingPartition:
-    n = len(m.partner) // 2
-    succ = {a: m.partner[2 * a + 1] // 2 for a in range(n)}
-    assignment = [-1] * n
-    for start in range(n):  # a block is named by its first point
-        a = start
-        while assignment[a] < 0:
-            assignment[a] = start
-            a = succ[a]
-    return NonCrossingPartition(assignment)
+    return NonCrossingPartition(_reroot(p.word, 2 * steps))
 
 
 def tree_to_ncp(t: PlaneTree) -> NonCrossingPartition:
     if t.n < 1:
         raise ValueError("partition correspondence needs n >= 1")
-    return _unthicken(tree_to_ncm(t))
+    return NonCrossingPartition(t.word)
 
 
 def ncp_to_tree(p: NonCrossingPartition) -> PlaneTree:
-    return ncm_to_tree(_thicken(p))
+    return PlaneTree(p.word)
 
 
 def kreweras(p: NonCrossingPartition) -> NonCrossingPartition:
     """Complement on the interleaved points; kreweras squared = point rotation."""
-    return _unthicken(rotate_ncm(_thicken(p), 1))
+    return NonCrossingPartition(_reroot(p.word, 1))
 
 
 # ---------------------------------------------------------------------------

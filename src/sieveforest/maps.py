@@ -13,7 +13,10 @@ same as shifting every arc end by -steps around the circle of 2n positions
 and re-reading the letters.  That is the re-rooting of the tour-word kernel
 in `trees`, which also re-roots plane trees; `rotate_map`, `rotate_btree`
 and `rotate_ncm` apply it to map, b-tree and matching words, whose
-validation and arc pairing come from the same kernel.  A cubic map with a
+validation and arc pairing come from the same kernel.  A non-crossing
+matching is stored as its '()' tour word: the balanced words are exactly
+the non-crossing matchings, so the kernel's validator is its whole check,
+and arcs given from outside enter through `from_pairs`.  A cubic map with a
 Hamiltonian cycle is checked, and moves its root edge, through the map word
 it reads from its root edge.
 
@@ -65,31 +68,19 @@ class BTreeWord(_TourWord):
         return self.word.count("(")
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class NonCrossingMatching:
-    partner: tuple[int, ...]
-
-    def __init__(self, partner):
-        partner = tuple(partner)
-        size = len(partner)
-        if size % 2:
-            raise ValueError("matching needs an even number of points")
-        for i, j in enumerate(partner):
-            if not 0 <= j < size or j == i or partner[j] != i:
-                raise ValueError(f"not an involution without fixed points: {partner}")
-        object.__setattr__(self, "partner", partner)
-        # the matcher pairs the word's arcs without crossings
-        if matching(self.word) != partner:
-            raise ValueError(f"crossing arcs in {partner}")
+class NonCrossingMatching(_TourWord):
+    """Non-crossing matching of 2j points on a circle, stored as its tour
+    word: '(' at the first end of each arc, ')' at the second.  The
+    balanced '()' words are exactly the non-crossing matchings, so the
+    kernel's validator is the whole check."""
 
     @property
-    def word(self) -> str:
-        """The tour word: '(' at the first end of each arc, ')' at the second."""
-        return "".join(["(" if p > i else ")" for i, p in enumerate(self.partner)])
+    def partner(self) -> tuple[int, ...]:
+        return matching(self.word)
 
     @property
     def j(self) -> int:
-        return len(self.partner) // 2
+        return len(self.word) // 2
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, p) for i, p in enumerate(self.partner) if i < p]
@@ -107,7 +98,17 @@ class NonCrossingMatching:
             if not (0 <= a < size and 0 <= b < size):
                 raise ValueError(f"pair {(a, b)} is not within {size} points")
             partner[a], partner[b] = b, a
-        return NonCrossingMatching(partner)
+        partner = tuple(partner)
+        if size % 2:
+            raise ValueError("matching needs an even number of points")
+        for i, j in enumerate(partner):
+            if not 0 <= j < size or j == i or partner[j] != i:
+                raise ValueError(f"not an involution without fixed points: {partner}")
+        word = "".join(["(" if p > i else ")" for i, p in enumerate(partner)])
+        # the matcher pairs the word's arcs without crossings
+        if matching(word) != partner:
+            raise ValueError(f"crossing arcs in {partner}")
+        return NonCrossingMatching(word)
 
 
 class TreeRootedMap(_TourWord):
@@ -337,13 +338,15 @@ class NCM(_Maps, name="ncm", guard=5):
 
 @functools.lru_cache(maxsize=None)
 def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
-    return tuple(NonCrossingMatching(matching(w)) for w in _btree_words(0, j))
+    return tuple(map(NonCrossingMatching, _btree_words(0, j)))
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
-    """Open -> E, Close -> W; the p-th bud heads N if its partner comes later."""
+    """Open -> E, Close -> W; the p-th bud heads N if the p-th letter of the
+    matching's word opens its arc, S if it closes it."""
     if btree.buds != 2 * m.j:
         raise SizeMismatch(f"{btree.buds} buds vs matching on {2 * m.j} points")
+    buds = m.word
     out = []
     p = 0
     for ch in btree.word:
@@ -352,17 +355,21 @@ def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
         elif ch == ")":
             out.append("W")
         else:
-            out.append("N" if m.partner[p] > p else "S")
+            out.append("N" if buds[p] == "(" else "S")
             p += 1
     return TreeRootedMap("".join(out))
 
 
+_TO_BTREE = str.maketrans("EWNS", "()bb")
+_TO_MATCHING = str.maketrans("NS", "()", "EW")
+
+
 def decompose(mp: TreeRootedMap) -> tuple[BTreeWord, NonCrossingMatching]:
+    """E/W -> '(' / ')' and N/S -> bud for the b-tree; the N/S letters alone,
+    read as '(' / ')', are the matching's word."""
     word = mp.word
-    btree = BTreeWord(word.replace("E", "(").replace("W", ")")
-                      .replace("N", "b").replace("S", "b"))
-    buds = "".join([ch for ch in word if ch in "NS"])
-    return btree, NonCrossingMatching(matching(buds))
+    return (BTreeWord(word.translate(_TO_BTREE)),
+            NonCrossingMatching(word.translate(_TO_MATCHING)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +382,6 @@ def rotate_map(mp: TreeRootedMap, steps: int = 1) -> TreeRootedMap:
     return mp if word == mp.word else TreeRootedMap(word)
 
 
-def rotate_map_once_by_rule(mp: TreeRootedMap) -> TreeRootedMap:
-    """The literal one-step rewriting; reference implementation for tests."""
-    word = mp.word
-    if not word:
-        return mp
-    a = word[0]
-    close = matching(word)[0]
-    return TreeRootedMap(word[1:close] + a + word[close + 1:] + word[close])
-
-
 def rotate_btree(bt: BTreeWord, steps: int = 1) -> BTreeWord:
     """Same rotation on b-tree words; a leading bud simply moves to the end."""
     word = _reroot(bt.word, -steps)
@@ -393,9 +390,8 @@ def rotate_btree(bt: BTreeWord, steps: int = 1) -> BTreeWord:
 
 def rotate_ncm(m: NonCrossingMatching, steps: int = 1) -> NonCrossingMatching:
     """Every point moved by +steps: the re-rooting of the matching's word."""
-    word = m.word
-    moved = _reroot(word, steps)
-    return m if moved == word else NonCrossingMatching(matching(moved))
+    word = _reroot(m.word, steps)
+    return m if word == m.word else NonCrossingMatching(word)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +533,7 @@ def map_fixed_via_parts(mp: TreeRootedMap, e: int) -> bool:
         return True
     d = 2 * n // gcd(e, 2 * n)
     bt, m = decompose(mp)
-    size_m = len(m.partner)
+    size_m = len(m.word)
     if size_m % d:
         return False
     return (rotate_btree(bt, len(bt.word) // d) == bt

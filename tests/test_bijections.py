@@ -155,6 +155,6 @@ class TestDissectionCorrespondence:
 
 class TestPartitionEdgeCases:
     def test_empty_partition_rotates_to_itself(self):
-        p = NonCrossingPartition([])
+        p = NonCrossingPartition("")
         assert point_rotation(p, 1) == p
         assert point_rotation(p, -3) == p

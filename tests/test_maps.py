@@ -12,9 +12,8 @@ from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               fix_count_maps, fix_count_maps_closed,
                               from_cubic,
                               map_fixed_via_parts,
-                              rotate_btree, rotate_map, rotate_map_once_by_rule,
-                              rotate_ncm, to_cubic)
-from sieveforest.trees import catalan, family_from_descriptor
+                              rotate_btree, rotate_map, rotate_ncm, to_cubic)
+from sieveforest.trees import catalan, family_from_descriptor, matching
 
 
 def small_degree_tuples(max_len=4, max_count=5):
@@ -22,6 +21,16 @@ def small_degree_tuples(max_len=4, max_count=5):
         for t in itertools.product(range(max_count + 1), repeat=length):
             if t and (length == 1 or t[-1] > 0):
                 yield t
+
+
+def rotate_map_once_by_rule(mp: TreeRootedMap) -> TreeRootedMap:
+    """The literal one-step rewriting a w1 a' w2 -> w1 a w2 a'."""
+    word = mp.word
+    if not word:
+        return mp
+    a = word[0]
+    close = matching(word)[0]
+    return TreeRootedMap(word[1:close] + a + word[close + 1:] + word[close])
 
 
 class TestWordTypes:
@@ -40,11 +49,11 @@ class TestWordTypes:
             TreeRootedMap("EN")  # open walk
 
     def test_matching_validation(self):
-        NonCrossingMatching((1, 0, 3, 2))
+        NonCrossingMatching.from_pairs([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
-            NonCrossingMatching((2, 3, 0, 1))  # crossing
+            NonCrossingMatching.from_pairs([(0, 2), (1, 3)])  # crossing
         with pytest.raises(ValueError):
-            NonCrossingMatching((0, 1))  # fixed points
+            NonCrossingMatching.from_pairs([(0, 0), (1, 1)])  # fixed points
 
     def test_pair_off_the_points_is_refused_by_name(self):
         with pytest.raises(ValueError, match=r"\(0, 3\)"):
@@ -66,10 +75,10 @@ class TestComposeDecompose:
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            compose(BTreeWord("(bb)"), NonCrossingMatching(()))
+            compose(BTreeWord("(bb)"), NonCrossingMatching(""))
 
     def test_bud_direction(self):
-        mp = compose(BTreeWord("bb"), NonCrossingMatching((1, 0)))
+        mp = compose(BTreeWord("bb"), NonCrossingMatching("()"))
         assert mp.word == "NS"
 
 

@@ -7,7 +7,10 @@ matching rotation by partner arrays and the cubic-map validator with its
 root moves, as they were before every member was read through
 `node_degrees`, `corner_nodes`, the matcher and the re-rooting of `trees`;
 and the two surgeries and the dissection validator and face march, as they
-were before they became re-rootings and chord words.  They are kept here,
+were before they became re-rootings and chord words; and the matching
+stored as its partner array, the partition stored as its block assignment,
+the thickening between them and the Kreweras complement and point rotation
+through it, as they were before both became tour words.  They are kept here,
 word for word in behaviour, as the oracle the kernel readers must match.
 """
 import itertools
@@ -17,12 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sieveforest import trees
 from sieveforest.bijections import (Degree2NodePresent, Dissection,
-                                    NotLeafRooted, dissection_to_tree,
-                                    tree_to_dissection)
+                                    NonCrossingPartition, NotLeafRooted,
+                                    dissection_to_tree, kreweras, ncp_to_tree,
+                                    point_rotation, tree_to_dissection,
+                                    tree_to_ncp)
 from sieveforest.maps import (CubicHamiltonianMap, NonCrossingMatching, TMn,
-                              TreeRootedMap, advance_root, enumerate_maps,
-                              from_cubic, rotate_ncm, to_cubic)
+                              TreeRootedMap, advance_root, compose, decompose,
+                              enumerate_maps, from_cubic, rotate_ncm, to_cubic)
 from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, NoEligibleCorner,
                                    degree_kind, rotate)
 from sieveforest.trees import (CentralEdge, CentralVertex, DegreeNotDivisible,
@@ -248,6 +254,101 @@ def ref_rotate_ncm(partner, steps: int):
     return tuple(out)
 
 
+class RefMatching:
+    """The matching stored as its partner array, checked point by point."""
+
+    def __init__(self, partner):
+        partner = tuple(partner)
+        size = len(partner)
+        if size % 2:
+            raise ValueError("matching needs an even number of points")
+        for i, j in enumerate(partner):
+            if not 0 <= j < size or j == i or partner[j] != i:
+                raise ValueError(f"not an involution without fixed points: {partner}")
+        self.partner = partner
+        # the matcher pairs the word's arcs without crossings
+        if matching(self.word) != partner:
+            raise ValueError(f"crossing arcs in {partner}")
+
+    @property
+    def word(self) -> str:
+        return "".join(["(" if p > i else ")" for i, p in enumerate(self.partner)])
+
+    def pairs(self) -> list:
+        return [(i, p) for i, p in enumerate(self.partner) if i < p]
+
+
+class RefPartition:
+    """The partition stored as its block assignment, relabelled by first
+    appearance and checked through its thickening."""
+
+    def __init__(self, assignment):
+        assignment = tuple(assignment)
+        relabel: dict = {}
+        for b in assignment:
+            if b not in relabel:
+                relabel[b] = len(relabel)
+        self.assignment = tuple(relabel[b] for b in assignment)
+        try:
+            ref_thicken(self)
+        except ValueError:
+            raise ValueError(f"crossing blocks in {self.assignment}") from None
+
+    @property
+    def n(self) -> int:
+        return len(self.assignment)
+
+    def blocks(self) -> list:
+        out: dict = {}
+        for i, b in enumerate(self.assignment):
+            out.setdefault(b, []).append(i + 1)
+        return sorted(out.values())
+
+
+def ref_thicken(p: RefPartition) -> RefMatching:
+    partner = [0] * (2 * p.n)
+    for blk in p.blocks():
+        pts = [a - 1 for a in blk]
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            partner[2 * a + 1], partner[2 * b] = 2 * b, 2 * a + 1
+    return RefMatching(partner)
+
+
+def ref_unthicken(m: RefMatching) -> RefPartition:
+    n = len(m.partner) // 2
+    succ = {a: m.partner[2 * a + 1] // 2 for a in range(n)}
+    assignment = [-1] * n
+    for start in range(n):  # a block is named by its first point
+        a = start
+        while assignment[a] < 0:
+            assignment[a] = start
+            a = succ[a]
+    return RefPartition(assignment)
+
+
+def ref_kreweras(p: RefPartition) -> RefPartition:
+    return ref_unthicken(RefMatching(ref_rotate_ncm(ref_thicken(p).partner, 1)))
+
+
+def ref_point_rotation(p: RefPartition, steps: int = 1) -> RefPartition:
+    s = -steps % p.n if p.n else 0
+    return RefPartition(p.assignment[s:] + p.assignment[:s])
+
+
+def ref_compose(btree_word: str, m: RefMatching) -> str:
+    out = []
+    p = 0
+    for ch in btree_word:
+        if ch == "(":
+            out.append("E")
+        elif ch == ")":
+            out.append("W")
+        else:
+            out.append("N" if m.partner[p] > p else "S")
+            p += 1
+    return "".join(out)
+
+
 def ref_cubic_valid(n: int, inner, outer, root: int) -> bool:
     """The crossing and vertex-count checks, for chord ends on the cycle."""
     inner = frozenset(tuple(sorted(p)) for p in inner)
@@ -422,9 +523,107 @@ def test_dissection_validation_on_random_pairs():
 # Matchings and cubic maps
 
 
+MAX_ARCS = 8
+
+
+def matching_words():
+    for j in range(MAX_ARCS + 1):
+        yield from _btree_words(0, j)
+
+
+def test_matching_word_and_partner_match_the_reference():
+    for word in matching_words():
+        m = NonCrossingMatching(word)
+        ref = RefMatching(m.partner)
+        assert ref.word == word
+        assert m.pairs() == ref.pairs()
+        assert NonCrossingMatching.from_pairs(ref.pairs()) == m
+
+
+def set_partitions(n):
+    """Every partition of range(n) as a restricted growth string."""
+    def rec(prefix, blocks):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for b in range(blocks + 1):
+            yield from rec(prefix + [b], max(blocks, b + 1))
+    yield from rec([], 0)
+
+
+def reference_partitions():
+    """(reference, partition) for every non-crossing partition of n <= 8."""
+    for n in range(MAX_ARCS + 1):
+        seen = 0
+        for assignment in set_partitions(n):
+            ref = outcome(RefPartition, assignment)
+            if isinstance(ref, RefPartition):
+                seen += 1
+                yield ref, NonCrossingPartition.from_blocks(ref.blocks())
+        assert seen == len(_btree_words(0, n))
+
+
+def test_partition_assignment_and_blocks_match_the_reference():
+    for ref, p in reference_partitions():
+        assert p.word == ref_thicken(ref).word
+        assert p.n == ref.n
+        assert p.assignment == ref.assignment
+        assert p.blocks() == ref.blocks()
+    # every word is the thickening of one partition
+    for word in matching_words():
+        p = NonCrossingPartition(word)
+        assert p.assignment == ref_unthicken(RefMatching(matching(word))).assignment
+
+
+def test_kreweras_and_point_rotation_match_the_reference():
+    for ref, p in reference_partitions():
+        assert kreweras(p).assignment == ref_kreweras(ref).assignment
+        for steps in range(-3, 2 * p.n + 4):
+            assert point_rotation(p, steps).assignment \
+                == ref_point_rotation(ref, steps).assignment, (p, steps)
+
+
+def test_partition_correspondence_matches_the_reference():
+    for word in matching_words():
+        if not word:
+            continue
+        t = PlaneTree(word)
+        ref = ref_unthicken(RefMatching(matching(word)))
+        assert tree_to_ncp(t).assignment == ref.assignment
+        assert ncp_to_tree(tree_to_ncp(t)) == t
+        assert ncp_to_tree(NonCrossingPartition.from_blocks(ref.blocks())).word \
+            == ref_thicken(ref).word == word
+
+
+def test_compose_decompose_match_the_reference():
+    for n in range(5):
+        for mp in enumerate_maps(TMn(n)):
+            bt, m = decompose(mp)
+            buds = "".join(ch for ch in mp.word if ch in "NS")
+            assert m.partner == matching(buds.replace("N", "(").replace("S", ")"))
+            assert compose(bt, m) == mp
+            assert ref_compose(bt.word, RefMatching(m.partner)) == mp.word
+
+
+def test_rotate_ncm_runs_the_matcher_once(monkeypatch):
+    """Re-rooting pairs the arcs once; the moved word needs no second pass."""
+    m = NonCrossingMatching.from_pairs([(0, 5), (1, 2), (3, 4), (6, 7)])
+    calls = []
+    pair_offsets = trees._pair_offsets
+
+    def counted(word):
+        calls.append(word)
+        return pair_offsets(word)
+
+    monkeypatch.setattr(trees, "_pair_offsets", counted)
+    moved = rotate_ncm(m, 3)
+    assert moved != m
+    assert len(calls) == 1
+
+
 def test_rotate_ncm_matches_the_reference():
     for word in tree_words():
-        m = NonCrossingMatching(matching(word))
+        m = NonCrossingMatching(word)
         for steps in range(-3, len(word) + 3):
             assert rotate_ncm(m, steps).partner \
                 == ref_rotate_ncm(m.partner, steps), (word, steps)

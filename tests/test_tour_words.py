@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sieveforest.bijections import NonCrossingPartition
+from sieveforest.bijections import NonCrossingPartition, point_rotation
 from sieveforest.maps import (BTreeWord, NonCrossingMatching, TMn,
                               TreeRootedMap, enumerate_maps, rotate_btree,
-                              rotate_map, rotate_map_once_by_rule)
+                              rotate_map, rotate_ncm)
 from sieveforest.trees import (PlaneTree, _btree_words, arc_offsets,
                                cyclic_period, matching, shift_root)
 
@@ -135,6 +135,16 @@ def ref_rotate_map(word: str, steps: int) -> str:
     return "".join(out)
 
 
+def ref_rotate_map_once(word: str) -> str:
+    """The literal one-step rewriting a w1 a' w2 -> w1 a w2 a' of a map word."""
+    if not word:
+        return word
+    a = word[0]
+    opener, closer = ("E", "W") if a == "E" else ("N", "S")
+    close = ref_class_matching(word, opener, closer)[0]
+    return word[1:close] + a + word[close + 1:] + word[close]
+
+
 def ref_arc_offsets(word: str) -> list:
     size = len(word)
     out = [0] * size
@@ -164,6 +174,13 @@ KINDS = (  # (word class, reference validator, kernel rotation, reference rotati
      lambda w, s: rotate_btree(BTreeWord(w), s).word, ref_rotate_btree),
     (TreeRootedMap, ref_walk_valid,
      lambda w, s: rotate_map(TreeRootedMap(w), s).word, ref_rotate_map),
+    # a matching is its '()' word, and a partition the word of its
+    # thickening, on which one point is two letters
+    (NonCrossingMatching, ref_tree_valid,
+     lambda w, s: rotate_ncm(NonCrossingMatching(w), s).word, ref_shift_root),
+    (NonCrossingPartition, ref_tree_valid,
+     lambda w, s: point_rotation(NonCrossingPartition(w), s).word,
+     lambda w, s: ref_shift_root(w, 2 * s)),
 )
 
 tree_words = st.integers(0, 7).flatmap(
@@ -217,7 +234,7 @@ def test_rerooting_is_the_iterated_rewriting_rule():
             cur = mp
             for steps in range(2 * n + 1):
                 assert rotate_map(mp, steps) == cur, (mp, steps)
-                cur = rotate_map_once_by_rule(cur)
+                cur = TreeRootedMap(ref_rotate_map_once(cur.word))
 
 
 def perfect_matchings(size):
@@ -238,7 +255,8 @@ def perfect_matchings(size):
 def test_matching_crossings_exhaustive():
     for size in range(0, 11, 2):
         for partner in perfect_matchings(size):
-            assert accepts(NonCrossingMatching, partner) \
+            pairs = [(i, p) for i, p in enumerate(partner) if i < p]
+            assert accepts(NonCrossingMatching.from_pairs, pairs) \
                 == (not ref_ncm_crosses(partner)), partner
 
 
@@ -256,11 +274,14 @@ def set_partitions(n):
 def test_partition_crossings_exhaustive():
     for n in range(0, 9):
         for assignment in set_partitions(n):
-            assert accepts(NonCrossingPartition, assignment) \
+            blocks = [[i + 1 for i, a in enumerate(assignment) if a == b]
+                      for b in range(max(assignment, default=-1) + 1)]
+            assert accepts(NonCrossingPartition.from_blocks, blocks) \
                 == (not ref_ncp_crosses(assignment)), assignment
 
 
 @pytest.mark.parametrize("partner", [(1, 0, 3, 2), (3, 2, 1, 0), ()])
 def test_matching_word_round_trip(partner):
-    m = NonCrossingMatching(partner)
+    m = NonCrossingMatching.from_pairs(
+        [(i, p) for i, p in enumerate(partner) if i < p])
     assert matching(m.word) == partner
