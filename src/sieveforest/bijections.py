@@ -19,11 +19,11 @@ its sides and diagonals: the word of the tree it corresponds to.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from .maps import NonCrossingMatching
-from .trees import PlaneTree, _reroot, _TourWord, matching, node_degrees
+from .trees import (PlaneTree, _reroot, _TourWord, _Value, matching,
+                    node_degrees)
 
 
 class NotLeafRooted(ValueError):
@@ -127,8 +127,7 @@ def kreweras(p: NonCrossingPartition) -> NonCrossingPartition:
 # Leaf-rooted trees <-> dissections
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class Dissection:
+class Dissection(_Value):
     """Convex k-gon (vertices 0..k-1) with pairwise non-crossing diagonals."""
 
     k: int

@@ -114,7 +114,15 @@ def _cmd_poly(args) -> int:
 
 
 def _report(args):
-    inst = _instance(args)
+    family_cls = csp.THEOREMS[args.theorem].family
+    params = _params(args, args.theorem, family_cls)
+    try:
+        family = family_cls(**params)
+    except ValueError:
+        pass  # build_instance reports it, naming the theorem
+    else:  # refuse an instance too large to verify before building it
+        csp.check_size_guard(family, args.size_guard)
+    inst = csp.build_instance(args.theorem, **params)
     exponents = [args.e] if args.e is not None else None
     return inst, csp.verify(inst, args.mode or csp.DIVISORS,
                             size_guard=args.size_guard, exponents=exponents)

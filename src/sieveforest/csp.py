@@ -9,7 +9,6 @@ of P at the root of unity; all three must agree.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -22,7 +21,7 @@ from .qseries import (NotPolynomial, QPolynomial, QProductExpr,
                       shape_predicates, to_polynomial)
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 from .trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
-                    InternalRootedDeg, LeafRooted, RootDegree)
+                    InternalRootedDeg, LeafRooted, RootDegree, _Value)
 
 
 class InfeasibleParams(ValueError):
@@ -41,8 +40,7 @@ ALL_EXPONENTS = "all"
 MAX_POLY_DEGREE = 10_000
 
 
-@dataclasses.dataclass(frozen=True)
-class Theorem:
+class Theorem(_Value):
     """One sieving result.  Its parameters are the family's fields, in
     order; `feasible(family)` is the range it holds on, and `qproduct(family)`
     its polynomial as a q-product."""
@@ -120,14 +118,16 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-@dataclasses.dataclass(frozen=True)
-class CspInstance:
+class CspInstance(_Value):
     theorem: str
-    params: dict = dataclasses.field(hash=False)
+    params: dict
     family: object
     kind: object  # RotationKind for tree families, None for map families
     order: int
     expr: QProductExpr
+
+    def __hash__(self):  # params, a dict, is compared but not hashed
+        return hash((self.theorem, self.family, self.kind, self.order, self.expr))
 
     def polynomial(self) -> QPolynomial:
         """The expanded q-product; refused above MAX_POLY_DEGREE."""
@@ -190,13 +190,17 @@ def check_size_guard(family, override: "int | None" = None) -> None:
 # Verification
 
 
-@dataclasses.dataclass
-class VerificationReport:
+class VerificationReport(_Value):
     theorem: str
     params: dict
     rows: list  # dicts: e, d, brute, closed, poly_value, agree
     overall: bool
     seconds: float
+
+    # a mutable record, and so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def to_json(self) -> str:
         return json.dumps({"theorem": self.theorem, "params": self.params,

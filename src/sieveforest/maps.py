@@ -36,7 +36,6 @@ a period below its length.  `NCM` is counted by the b = 0 walk.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 from math import gcd
@@ -44,7 +43,7 @@ from math import gcd
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 from .trees import (Family, _btree_fix, _btree_words, _check_sizes,
                     _degrees_feasible, _degrees_fix, _normalize_degrees,
-                    _reroot, _TourWord, arc_offsets, catalan,
+                    _reroot, _TourWord, _Value, arc_offsets, catalan,
                     cyclic_period, degree_distribution, degree_solutions,
                     matching, node_degrees, period_census)
 
@@ -161,7 +160,6 @@ class _Maps(Family):
         return rotate_map(member, steps)
 
 
-@dataclasses.dataclass(frozen=True)
 class BT(_Maps, name="bt", guard=5):
     b: int
     n: int
@@ -192,7 +190,6 @@ class BT(_Maps, name="bt", guard=5):
         return _btree_fix(self.b, self.n, d)
 
 
-@dataclasses.dataclass(frozen=True, init=False)
 class BTDeg(_Maps, name="bt_deg", guard=5):
     b: int
     degrees: tuple[int, ...]
@@ -239,7 +236,6 @@ class _Decoupled(_Maps):
                 yield compose(bt, m)
 
 
-@dataclasses.dataclass(frozen=True)
 class TMij(_Decoupled, name="tm_ij", guard=5):
     i: int
     j: int
@@ -264,7 +260,6 @@ def _tm_fix(i: int, j: int, d: int) -> int:
     return _btree_fix(2 * j, i, d) * _btree_fix(0, j, d)
 
 
-@dataclasses.dataclass(frozen=True)
 class TMn(_Maps, name="tm_n", guard=5):
     n: int
 
@@ -282,7 +277,6 @@ class TMn(_Maps, name="tm_n", guard=5):
         return sum(_tm_fix(i, n - i, d) for i in range(n + 1))
 
 
-@dataclasses.dataclass(frozen=True, init=False)
 class TMDeg(_Decoupled, name="tm_deg", guard=5):
     j: int
     degrees: tuple[int, ...]
@@ -305,7 +299,6 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
                 * _btree_fix(0, self.j, d))
 
 
-@dataclasses.dataclass(frozen=True)
 class NCM(_Maps, name="ncm", guard=5):
     """Non-crossing matchings of 2j points, turned by `rotate_ncm`.  Their
     words are the b-tree words with no buds, so the brute-force census is
@@ -544,8 +537,7 @@ def map_fixed_via_parts(mp: TreeRootedMap, e: int) -> bool:
 # Cubic maps with a Hamiltonian cycle
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class CubicHamiltonianMap:
+class CubicHamiltonianMap(_Value):
     """2n-cycle plus n chords, one per cycle vertex: inner chords inside the
     disk, outer chords outside, neither crossing on its side.  Read from the
     root edge, with E/W at the ends of inner chords and N/S at those of outer

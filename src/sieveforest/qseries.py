@@ -12,13 +12,14 @@ reduces an expanded polynomial modulo Phi_d.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import operator
 from fractions import Fraction
+
+from .trees import _Value
 
 
 class NotPolynomial(ValueError):
@@ -33,8 +34,7 @@ class PoleAtRoot(ValueError):
     """A product expression has a pole at the requested root of unity."""
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class QPolynomial:
+class QPolynomial(_Value):
     """Dense polynomial in q with integer coefficients, constant term first.
 
     The coefficient tuple never has trailing zeros; the zero polynomial is the
@@ -154,8 +154,7 @@ def q_int(m: int) -> QPolynomial:
     return QPolynomial((1,) * m)
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class QProductExpr:
+class QProductExpr(_Value):
     """scalar * q^shift * prod [a]_q / prod [b]_q, with a, b positive integers.
 
     The index multisets are kept sorted; equal indices on both sides are *not*

@@ -20,13 +20,12 @@ under a power of the ordinary one.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from math import gcd
 
 from . import trees
 from .trees import (INTERNAL, LEAF, ORDINARY, IncompatibleKind,  # noqa: F401
-                    PlaneTree, RotationKind, degree_kind, shift_root)
+                    PlaneTree, RotationKind, _Value, degree_kind, shift_root)
 
 
 class NoEligibleCorner(ValueError):
@@ -66,11 +65,16 @@ def orbit(tree: PlaneTree, kind: RotationKind) -> list[PlaneTree]:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class FixQuery:
+class FixQuery(_Value):
     family: trees.Family
     kind: "RotationKind | None"  # the family's own kind, None for a map family
     e: int
+
+    def __init__(self, family: trees.Family, kind: "RotationKind | None", e: int):
+        put = object.__setattr__
+        put(self, "family", family)
+        put(self, "kind", kind)
+        put(self, "e", e)
 
 
 @functools.lru_cache(maxsize=None)

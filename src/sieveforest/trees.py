@@ -29,11 +29,67 @@ acting on it, and its counts all follow from these two.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
+import operator
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb
+
+
+class _Value:
+    """Base of the package's value classes.  Their fields are each class's
+    annotated names after its bases' fields; `__init__` takes them by
+    position or keyword, then runs `__post_init__`.  Binding the arguments
+    costs a few hundred nanoseconds more than a written-out `__init__`,
+    which the classes built in the hot loops have.  A value cannot be
+    changed, equals only values of its own class with equal fields, and
+    hashes and shows its fields in order."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # from 3.10 the class's own annotations only, also where 3.14 has
+        # not yet put them in vars(cls)
+        cls._fields += tuple(f for f in cls.__annotations__ if f not in cls._fields)
+        names = cls._fields
+        get = operator.attrgetter(*names) if names else lambda self: ()
+        # hashed as the tuple of the fields; attrgetter gives a lone one bare
+        cls._key = staticmethod((lambda self: (get(self),)) if len(names) == 1 else get)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = {**dict(zip(fields, args)), **kwargs}
+            if len(given) != len(args) + len(kwargs) or given.keys() != set(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes {fields}, "
+                                f"not {args} and {kwargs}")
+            args = [given[f] for f in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        # faster than reading the fields, but on 3.11 and 3.12 it slows later
+        # reads of both values: the classes compared in loops have their own
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class NotEdgeCentered(ValueError):
@@ -181,15 +237,29 @@ def _btree_words(b: int, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class _TourWord:
+@functools.total_ordering
+class _TourWord(_Value):
     """A word of the kernel, validated over the class's `letters`, one of
-    the `_ALPHABETS`."""
+    the `_ALPHABETS`; compared, hashed and ordered by the word, within one
+    class."""
     word: str = ""
     letters = "()"
 
-    def __post_init__(self):
-        _validate_word(self.word, self.letters)
+    def __init__(self, word: str = ""):
+        _validate_word(word, self.letters)
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word < other.word
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return self.word
@@ -227,13 +297,32 @@ def shift_root(word: str, steps: int) -> str:
     return _reroot(word, steps)
 
 
-@dataclasses.dataclass(frozen=True)
-class TreeStats:
+class TreeStats(_Value):
     edges: int
     leaves: int
     degrees: tuple[int, ...]  # degrees[i-1] = number of nodes of degree i
     root_degree: int
     corners: int
+
+    def __init__(self, edges, leaves, degrees, root_degree, corners):
+        # built, hashed and compared once per word by _words_by_stats
+        put = object.__setattr__
+        put(self, "edges", edges)
+        put(self, "leaves", leaves)
+        put(self, "degrees", degrees)
+        put(self, "root_degree", root_degree)
+        put(self, "corners", corners)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.edges, self.leaves, self.degrees, self.root_degree,
+                 self.corners) == (other.edges, other.leaves, other.degrees,
+                                   other.root_degree, other.corners))
+
+    def __hash__(self):
+        return hash((self.edges, self.leaves, self.degrees, self.root_degree,
+                     self.corners))
 
 
 def node_degrees(word: str) -> list[int]:
@@ -297,12 +386,23 @@ class IncompatibleKind(ValueError):
     """Rotation kind does not match the family's root constraint."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RotationKind:
+class RotationKind(_Value):
     """Which corners the rotation visits: all of them (ordinary), those at
     leaves, those at internal nodes, or those at nodes of degree `delta`."""
     name: str
     delta: int = 0
+
+    def __init__(self, name: str, delta: int = 0):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "delta", delta)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.delta == other.delta
+
+    __hash__ = _Value.__hash__
 
     def __str__(self) -> str:
         return f"degree({self.delta})" if self.name == "degree" else self.name
@@ -364,8 +464,8 @@ def _degrees_feasible(degrees: tuple[int, ...], buds: int = 0) -> bool:
 FAMILIES: dict[str, type] = {}  # name -> family class, in definition order
 
 
-class Family:
-    """A family of a sieving result: a frozen dataclass whose fields, in
+class Family(_Value):
+    """A family of a sieving result: a value whose declared fields, in
     order, are its parameters.  `class F(Family, name=..., guard=...)`
     enters F in FAMILIES under `name`; `guard` is its default size guard.
 
@@ -414,8 +514,8 @@ class Family:
 
 
 def family_fields(cls) -> tuple[str, ...]:
-    """A family's parameter names: its dataclass fields, in order."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+    """A family's parameter names: its declared fields, in order."""
+    return cls._fields
 
 
 def family_from_descriptor(d: dict):
@@ -461,11 +561,11 @@ class _PlaneTrees(Family):
         return order
 
 
-@dataclasses.dataclass(frozen=True)
 class AllTrees(_PlaneTrees, name="all_trees"):
     n: int
 
-    def __post_init__(self):
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
         _check_sizes(self, "n")
 
     def admits(self, st: TreeStats) -> bool:
@@ -481,7 +581,6 @@ class AllTrees(_PlaneTrees, name="all_trees"):
         return _btree_fix(0, self.n, d)
 
 
-@dataclasses.dataclass(frozen=True)
 class _ByLeafCount(_PlaneTrees):
     """Trees with n edges and k leaves.  The count is the number of
     corners `kind` visits times C(n-1, k-2) C(n, k) / (n (n-1)), and the
@@ -531,7 +630,6 @@ class InternalRooted(_ByLeafCount, name="internal_rooted"):
     kind = INTERNAL
 
 
-@dataclasses.dataclass(frozen=True, init=False)
 class _ByDegreeCounts(_PlaneTrees, guard=9):
     """Trees with degrees[i-1] nodes of degree i: the b-trees with no buds
     of `_degrees_fix`, whose corners are those `kind` visits."""
@@ -578,7 +676,6 @@ class InternalRootedDeg(_ByDegreeCounts, name="internal_rooted_deg"):
     kind = INTERNAL
 
 
-@dataclasses.dataclass(frozen=True, init=False)
 class RootDegree(_ByDegreeCounts, name="root_degree"):
     delta: int
 
@@ -648,16 +745,18 @@ def _degrees_fix(corners: int, b: int, degrees: tuple[int, ...], d: int) -> int:
     included), fixed by a rotation power of order d, when the rotation
     visits `corners` corners of each; with no buds, plane trees.
 
-    With E = b + n edges the count is corners (E-1)! / (b! prod(n_i!)).  A
-    fixed tree is two halves around a central edge (d = 2, every count even)
-    or d sectors around a central node, whose degree class alone is 1 mod d.
+    With E = b + n edges the count is corners (E-1)! / (b! prod(n_i!)),
+    taken as corners multinomial(E+1; b, n_1, ...) / (E (E+1)) so that no
+    factor outgrows the count.  A fixed tree is two halves around a central
+    edge (d = 2, every count even) or d sectors around a central node, whose
+    degree class alone is 1 mod d.
     """
     if not _degrees_feasible(degrees, b):
         return 0
     edges = b + sum(degrees) - 1
     parts = (b,) + degrees
     if d == 1:
-        return _as_int(corners * factorial(edges - 1), prod(map(factorial, parts)))
+        return _as_int(corners * _multinomial(edges + 1, parts), edges * (edges + 1))
     residues = [c % d for c in parts]
     if d == 2 and not any(residues):
         halves = [c // 2 for c in parts]
@@ -726,14 +825,12 @@ def degree_distributions(n: int):
 # Center and the two structural surgeries
 
 
-@dataclasses.dataclass(frozen=True)
-class CentralVertex:
+class CentralVertex(_Value):
     corner: int                 # first-arrival corner of the central vertex
     corners: frozenset[int]     # all its corners, for re-rooting-invariance checks
 
 
-@dataclasses.dataclass(frozen=True)
-class CentralEdge:
+class CentralEdge(_Value):
     position: int               # tour position of the first traversal
     arc: tuple[int, int]        # both traversal positions
 
@@ -768,8 +865,7 @@ def center(tree: PlaneTree) -> CenterResult:
     return CentralEdge(open_pos, (open_pos, matching(tree.word)[open_pos]))
 
 
-@dataclasses.dataclass(frozen=True)
-class MarkedTree:
+class MarkedTree(_Value):
     """A plane tree with one marked node, identified by its first-arrival corner."""
     tree: PlaneTree
     mark: int

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sieveforest import csp
 from sieveforest.cli import FAMILY_NAMES, run
 from sieveforest.csp import THEOREM_IDS, THEOREMS
 from sieveforest.trees import FAMILIES, family_fields
@@ -116,6 +117,17 @@ class TestVerify:
         code, _, _ = capture(capsys, ["verify", "--theorem", "ord", "--n", "11",
                                       "--size-guard", "11"])
         assert code == 0
+
+    def test_guard_refuses_before_building_the_instance(self, capsys, monkeypatch):
+        def refuse(theorem, **params):
+            raise AssertionError(f"built {theorem} with {params}")
+        monkeypatch.setattr(csp, "build_instance", refuse)
+        for command in ("verify", "fixtable"):
+            code, out, err = capture(capsys, [command, "--theorem", "ord",
+                                              "--n", "11"])
+            assert code == 2 and out == ""
+            assert err == ("error: size 11 of AllTrees(n=11) exceeds guard 10; "
+                           "raise with --size-guard\n")
 
     def test_negative_size_guard_is_a_usage_error(self, capsys):
         for command in (["verify", "--theorem", "ord", "--n", "3"],

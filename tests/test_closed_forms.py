@@ -12,7 +12,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from sieveforest import maps
+from sieveforest import maps, trees
 from sieveforest.maps import BT, BTDeg, NCM, TMDeg, TMij, TMn
 from sieveforest.rotations import FixQuery, fix_count_closed
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
@@ -283,6 +283,18 @@ def test_count_is_the_closed_form_at_d_1():
                    TMDeg(1, (3, 1, 1))):
         assert family.count() == family.fix_closed(1) == fix_count_closed(
             FixQuery(family, family.kind, 0)), family
+
+
+def test_degree_count_takes_no_factorials(monkeypatch):
+    """The d = 1 degree count goes through a multinomial of E + 1 whose
+    binomials stay as small as the count, not through (E - 1)!: a path
+    of a thousand degree-2 nodes counts at once."""
+    def refuse(m):
+        raise AssertionError(f"factorial({m})")
+    monkeypatch.setattr(trees, "factorial", refuse, raising=False)
+    assert ByDegrees((2, 1000)).count() == 1001
+    family = BTDeg(2, (0, 1000))  # a path with a bud at each end
+    assert family.count() == REFERENCE[BTDeg](family, None) > 0
 
 
 def test_plane_trees_and_matchings_are_btrees_without_buds():
