@@ -32,7 +32,10 @@ of them builds a family object to count.
 The censuses of `BT`, `BTDeg` and `NCM` come from one walk per (b, n),
 `_btdeg_census_all`, which parses no finished word: it carries each
 prefix's degree counts and arc offsets, and re-roots a word only to confirm
-a period below its length.  `NCM` is counted by the b = 0 walk.
+a period below its length.  `NCM` is counted by the b = 0 walk.  Only a
+`TMDeg` census enumerates maps; a `TMij` census sums its degree classes'
+and a `TMn` census its `TMij` parts', so each map is composed and rotated
+once per process.
 """
 from __future__ import annotations
 
@@ -180,11 +183,7 @@ class BT(_Maps, name="bt", guard=5):
 
     def _census(self):
         """The one-walk b-tree census, summed over degree distributions."""
-        counts: dict[int, int] = {}
-        for census in _btdeg_census_all(self.b, self.n).values():
-            for p, c in census:
-                counts[p] = counts.get(p, 0) + c
-        return tuple(sorted(counts.items()))
+        return _summed_census(_btdeg_census_all(self.b, self.n).values())
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(self.b, self.n, d)
@@ -212,9 +211,8 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
 
     def members(self):
         if self.feasible():
-            for w in _btree_words(self.b, self.n):
-                if degree_distribution(node_degrees(w)) == self.degrees:
-                    yield BTreeWord(w)
+            for w in _btree_words_by_degrees(self.b, self.n).get(self.degrees, ()):
+                yield BTreeWord(w)
 
     def _census(self):
         """This degree distribution's group of the one-walk b-tree census."""
@@ -228,7 +226,8 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
 
 class _Decoupled(_Maps):
     """Tree-rooted maps as (b-tree with 2j buds, matching of the buds)
-    pairs, by `compose`: fixed points multiply over the parts."""
+    pairs, by `compose`: fixed points multiply over the parts.  Only a
+    `TMDeg` census composes them; a `TMij` census sums its classes'."""
 
     def members(self):
         for bt in self._btrees().members():
@@ -250,6 +249,14 @@ class TMij(_Decoupled, name="tm_ij", guard=5):
     def _btrees(self):
         return BT(2 * self.j, self.i)
 
+    def _census(self):
+        """Summed over the tree part's degree classes, buds included; the
+        one-vertex map has no class and is enumerated."""
+        if self.n == 0:
+            return super()._census()
+        return _summed_census(_map_period_census(TMDeg(self.j, d))
+                              for d in degree_solutions(self.i + 1, 2 * self.n))
+
     def fix_closed(self, d: int) -> int:
         return _tm_fix(self.i, self.j, d)
 
@@ -269,6 +276,11 @@ class TMn(_Maps, name="tm_n", guard=5):
     def members(self):
         for i in range(self.n + 1):
             yield from TMij(i, self.n - i).members()
+
+    def _census(self):
+        """The sum of the `TMij(i, n - i)` censuses."""
+        return _summed_census(_map_period_census(TMij(i, self.n - i))
+                              for i in range(self.n + 1))
 
     def fix_closed(self, d: int) -> int:
         n = self.n
@@ -500,6 +512,24 @@ def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
     if b == n == 0:
         return [()]
     return degree_solutions(n + 1, 2 * n + b)
+
+
+@functools.lru_cache(maxsize=None)
+def _btree_words_by_degrees(b: int, n: int) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """The words of `_btree_words(b, n)` by degree distribution, in order."""
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for w in _btree_words(b, n):
+        groups.setdefault(degree_distribution(node_degrees(w)), []).append(w)
+    return {degrees: tuple(words) for degrees, words in groups.items()}
+
+
+def _summed_census(censuses) -> tuple[tuple[int, int], ...]:
+    """The census of a disjoint union: the parts' counts added by period."""
+    counts: dict[int, int] = {}
+    for census in censuses:
+        for p, c in census:
+            counts[p] = counts.get(p, 0) + c
+    return tuple(sorted(counts.items()))
 
 
 @functools.lru_cache(maxsize=None)

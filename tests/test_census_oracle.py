@@ -86,7 +86,7 @@ def map_families():
     out += [BTDeg(b, d) for b in range(0, 6) for n in range(0, 6 - b)
             for d in maps.btree_degree_distributions(b, n)]
     out += [TMij(i, j) for i in range(0, 4) for j in range(0, 4 - i)]
-    out += [TMn(n) for n in range(1, 4)]
+    out += [TMn(n) for n in range(0, 4)]
     out += [TMDeg(j, d) for j in range(0, 3) for i in range(0, 4 - j)
             for d in maps.btree_degree_distributions(2 * j, i)]
     out += [NCM(j) for j in range(0, 9)]

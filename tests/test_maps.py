@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sieveforest import maps
 from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               NonCrossingMatching, SizeMismatch, TMDeg, TMij,
                               TMn, TreeRootedMap, advance_root,
@@ -13,7 +14,9 @@ from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               from_cubic,
                               map_fixed_via_parts,
                               rotate_btree, rotate_map, rotate_ncm, to_cubic)
-from sieveforest.trees import catalan, family_from_descriptor, matching
+from sieveforest.trees import (_btree_words, catalan, degree_distribution,
+                               degree_solutions, family_from_descriptor,
+                               matching, node_degrees)
 
 
 def small_degree_tuples(max_len=4, max_count=5):
@@ -143,6 +146,31 @@ class TestCounts:
                     fam = BTDeg(b, degrees)
                     assert sum(1 for _ in enumerate_maps(fam)) \
                         == closed_count_maps(fam)
+                    # the b-tree words of this distribution, in their order;
+                    # BTDeg reads the bare node's () as n = -1, with no words
+                    scan = [BTreeWord(w) for w in _btree_words(b, fam.n)
+                            if degree_distribution(node_degrees(w)) == degrees]
+                    assert list(fam.members()) == scan
+
+    def test_each_map_is_composed_once(self, monkeypatch):
+        """From cold caches, the TMn(4) census composes each of its maps
+        once; the censuses of its TMij parts and of their degree classes
+        then compose none again."""
+        composed = []
+
+        def counting_compose(bt, m):
+            composed.append(1)
+            return compose(bt, m)
+
+        monkeypatch.setattr(maps, "compose", counting_compose)
+        maps._map_period_census.cache_clear()
+        TMn(4).census()
+        assert len(composed) == closed_count_maps(TMn(4)) == 588
+        for i in range(5):
+            TMij(i, 4 - i).census()
+            for degrees in degree_solutions(i + 1, 8):
+                TMDeg(4 - i, degrees).census()
+        assert len(composed) == 588
 
     def test_infeasible_degrees_count_zero(self):
         assert closed_count_maps(BTDeg(0, (1,))) == 0
