@@ -307,6 +307,8 @@ def main() -> None:
             print("error: stdout is closed; the output cannot be written",
                   file=sys.stderr)
         sys.exit(2)
+    if hasattr(sys, "set_int_max_str_digits"):  # from 3.10.7: print any count
+        sys.set_int_max_str_digits(0)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

@@ -44,11 +44,11 @@ import json
 from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
-from .trees import (Family, _btree_fix, _btree_words, _check_sizes,
-                    _degrees_feasible, _degrees_fix, _normalize_degrees,
-                    _reroot, _TourWord, _Value, arc_offsets, catalan,
-                    cyclic_period, degree_distribution, degree_solutions,
-                    matching, node_degrees, period_census)
+from .trees import (Family, _admitted_words, _btree_fix, _btree_words,
+                    _check_sizes, _degrees_feasible, _degrees_fix,
+                    _normalize_degrees, _reroot, _TourWord, _Value,
+                    arc_offsets, catalan, cyclic_period, degree_solutions,
+                    matching, period_census)
 
 
 class SizeMismatch(ValueError):
@@ -209,10 +209,12 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
     def feasible(self) -> bool:
         return _degrees_feasible(self.degrees, self.b)
 
+    def admits(self, degrees, root_degree) -> bool:
+        return degrees == self.degrees
+
     def members(self):
-        if self.feasible():
-            for w in _btree_words_by_degrees(self.b, self.n).get(self.degrees, ()):
-                yield BTreeWord(w)
+        for w in _admitted_words(self.b, self.n, self.admits):
+            yield BTreeWord(w)
 
     def _census(self):
         """This degree distribution's group of the one-walk b-tree census."""
@@ -512,15 +514,6 @@ def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
     if b == n == 0:
         return [()]
     return degree_solutions(n + 1, 2 * n + b)
-
-
-@functools.lru_cache(maxsize=None)
-def _btree_words_by_degrees(b: int, n: int) -> dict[tuple[int, ...], tuple[str, ...]]:
-    """The words of `_btree_words(b, n)` by degree distribution, in order."""
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for w in _btree_words(b, n):
-        groups.setdefault(degree_distribution(node_degrees(w)), []).append(w)
-    return {degrees: tuple(words) for degrees, words in groups.items()}
 
 
 def _summed_census(censuses) -> tuple[tuple[int, int], ...]:

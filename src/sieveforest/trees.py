@@ -215,6 +215,8 @@ def _btree_words(b: int, n: int) -> tuple[str, ...]:
     """All b-tree words with n edges and b buds, lexicographic ('(' < ')' <
     'b'); with no buds, the plane-tree words with n edges."""
     out: list[str] = []
+    if n < 0:  # BTDeg reads the degree list () as n = -1
+        return ()
 
     def rec(prefix: list[str], opened: int, closed: int, buds: int) -> None:
         if opened == n and closed == n and buds == b:
@@ -305,24 +307,13 @@ class TreeStats(_Value):
     corners: int
 
     def __init__(self, edges, leaves, degrees, root_degree, corners):
-        # built, hashed and compared once per word by _words_by_stats
+        # built once per word by the `stats` scan of AllTrees.members()
         put = object.__setattr__
         put(self, "edges", edges)
         put(self, "leaves", leaves)
         put(self, "degrees", degrees)
         put(self, "root_degree", root_degree)
         put(self, "corners", corners)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.edges, self.leaves, self.degrees, self.root_degree,
-                 self.corners) == (other.edges, other.leaves, other.degrees,
-                                   other.root_degree, other.corners))
-
-    def __hash__(self):
-        return hash((self.edges, self.leaves, self.degrees, self.root_degree,
-                     self.corners))
 
 
 def node_degrees(word: str) -> list[int]:
@@ -368,6 +359,26 @@ def degree_distribution(degree: list[int]) -> tuple[int, ...]:
     for d in degree:
         dist[d - 1] += 1
     return tuple(dist)
+
+
+@functools.lru_cache(maxsize=None)
+def _words_by_degrees(b: int, n: int) -> dict[tuple, tuple[str, ...]]:
+    """The words of `_btree_words(b, n)` grouped by (degree distribution,
+    root degree), buds counted in a node's degree, in one pass; each group
+    keeps word order."""
+    groups: dict[tuple, list[str]] = {}
+    for word in _btree_words(b, n):
+        degree = node_degrees(word)
+        groups.setdefault((degree_distribution(degree), degree[0]), []).append(word)
+    return {key: tuple(words) for key, words in groups.items()}
+
+
+def _admitted_words(b: int, n: int, admits) -> tuple[str, ...] | list[str]:
+    """The words of the groups of `_words_by_degrees(b, n)` whose key
+    (degrees, root_degree) `admits`, merged back into word order."""
+    groups = [words for key, words in _words_by_degrees(b, n).items()
+              if admits(*key)]
+    return groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
 
 
 def stats(tree: PlaneTree) -> TreeStats:
@@ -480,6 +491,10 @@ class Family(_Value):
                     of order d, for every d dividing the order;
       count()       the number of members: fix_closed(1).
 
+    The plane-tree families and `BTDeg` list as members the groups of the
+    word table `_words_by_degrees(b, n)` whose key, a degree distribution
+    (buds included) and a root degree, the family `admits(degrees, root_degree)`.
+
     Two formulas serve most families: `_btree_fix` (b-trees by size; plane
     trees and non-crossing matchings are the b-trees with no buds) and
     `_degrees_fix` (b-trees by degrees, plane trees at no buds).  Only the
@@ -527,18 +542,16 @@ def family_from_descriptor(d: dict):
 
 
 class _PlaneTrees(Family):
-    """Plane trees with n edges.  A member has the stats the family
-    `admits`, and its root corner is one that `kind` visits: the root
-    constraint is the kind, and the rotation order follows from it."""
+    """Plane trees with n edges whose degree distribution and root degree
+    the family `admits`: the size constraint is on the distribution, and
+    the root constraint is the kind, which must visit the root corner; the
+    rotation order follows from it."""
 
     kind = ORDINARY
 
     def members(self):
         """In lexicographic word order."""
-        groups = [words for st, words in _words_by_stats(self.n).items()
-                  if self.admits(st)]
-        words = groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
-        for word in words:
+        for word in _admitted_words(0, self.n, self.admits):
             yield PlaneTree(word)
 
     def census(self, kind: RotationKind):
@@ -568,13 +581,16 @@ class AllTrees(_PlaneTrees, name="all_trees"):
         object.__setattr__(self, "n", n)
         _check_sizes(self, "n")
 
-    def admits(self, st: TreeStats) -> bool:
+    def admits(self, degrees, root_degree) -> bool:
         return True
 
     def members(self):
+        # a `stats` scan of every word, all admitted, kept only because the
+        # benchmark's self-test pins the scanned count (ROADMAP item 1)
         for word in _btree_words(0, self.n):
             t = PlaneTree(word)
-            if self.admits(stats(t)):
+            st = stats(t)
+            if self.admits(st.degrees, st.root_degree):
                 yield t
 
     def fix_closed(self, d: int) -> int:
@@ -595,8 +611,8 @@ class _ByLeafCount(_PlaneTrees):
     def leaves(self) -> int:
         return self.k
 
-    def admits(self, st: TreeStats) -> bool:
-        return st.leaves == self.k and self.kind.eligible(st.root_degree)
+    def admits(self, degrees, root_degree) -> bool:
+        return (degrees[0] if degrees else 0) == self.k and self.kind.eligible(root_degree)
 
     def fix_closed(self, d: int) -> int:
         n, k = self.n, self.k
@@ -650,12 +666,10 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
         """degrees[i-1]: 0 past the end of the list."""
         return self.degrees[i - 1] if i <= len(self.degrees) else 0
 
-    def admits(self, st: TreeStats) -> bool:
-        return st.degrees == self.degrees and self.kind.eligible(st.root_degree)
-
-    def members(self):
-        if _degrees_feasible(self.degrees):
-            yield from super().members()
+    def admits(self, degrees, root_degree) -> bool:
+        # the bare node (root degree 0) has no degree that a list counts
+        return (degrees == self.degrees and root_degree > 0
+                and self.kind.eligible(root_degree))
 
     def fix_closed(self, d: int) -> int:
         # an infeasible list may have no order for its kind, and no members
@@ -688,16 +702,6 @@ class RootDegree(_ByDegreeCounts, name="root_degree"):
     @property
     def kind(self) -> RotationKind:
         return degree_kind(self.delta)
-
-
-@functools.lru_cache(maxsize=32)
-def _words_by_stats(n: int) -> dict[TreeStats, tuple[str, ...]]:
-    """The words of _btree_words(0, n) grouped by their stats, in one pass;
-    each group keeps lexicographic order."""
-    groups: dict[TreeStats, list[str]] = {}
-    for word in _btree_words(0, n):
-        groups.setdefault(stats(PlaneTree(word)), []).append(word)
-    return {st: tuple(words) for st, words in groups.items()}
 
 
 def enumerate_family(family):

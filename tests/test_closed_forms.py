@@ -248,8 +248,9 @@ def degree_families():
 
 # Lists at the edge of feasibility: the empty list, odd degree sums, too few
 # or too many nodes for their degrees.  Most are infeasible for plane trees;
-# some are b-trees with a few buds.
-EDGE_LISTS = [(), (3,), (0, 1), (1,), (2,), (1, 1, 1), (0, 0, 2)]
+# some are b-trees with a few buds.  An infeasible list has no group in the
+# word table, so it lists no members.
+EDGE_LISTS = [(), (3,), (0, 1), (1,), (2,), (1, 1, 1), (0, 0, 2), (1, 1), (0, 2)]
 
 
 def test_size_families_match_reference():
@@ -273,6 +274,7 @@ def test_edge_degree_lists_match_reference(degrees):
     for family in families:
         ref = REFERENCE[type(family)]
         assert family.count() == ref(family, None), family
+        assert len(list(family.members())) == ref(family, None), family
         for d in range(2, 7):
             assert family.fix_closed(d) == ref(family, d), (family, d)
 

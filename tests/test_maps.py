@@ -174,6 +174,8 @@ class TestCounts:
 
     def test_infeasible_degrees_count_zero(self):
         assert closed_count_maps(BTDeg(0, (1,))) == 0
+        # () reads as n = -1 edges: no words, and no walk over the buds
+        assert list(BTDeg(3000, ()).members()) == []
 
     def test_descriptor_round_trip(self):
         for fam in (BT(2, 3), BTDeg(2, (2, 0, 0, 1)), TMij(2, 1), TMn(3),

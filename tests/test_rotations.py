@@ -125,7 +125,7 @@ class TestFixCounts:
                         assert fix_count_bruteforce(query) == len(members)
                         with monkeypatch.context() as m:
                             m.setattr(trees, "_btree_words", None)
-                            m.setattr(trees, "_words_by_stats", None)
+                            m.setattr(trees, "_words_by_degrees", None)
                             assert fam.count() == len(members), fam
                             assert fix_count_closed(query) == len(members), \
                                 (fam, kind, e)
