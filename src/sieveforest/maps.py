@@ -29,13 +29,14 @@ for `BTDeg`.  The tree-rooted map families decouple into a b-tree family
 times a matching family, and their fixed points multiply accordingly; none
 of them builds a family object to count.
 
-The censuses of `BT`, `BTDeg` and `NCM` come from one walk per (b, n),
-`_btdeg_census_all`, which parses no finished word: it carries each
-prefix's degree counts and arc offsets, and re-roots a word only to confirm
-a period below its length.  `NCM` is counted by the b = 0 walk.  Only a
-`TMDeg` census enumerates maps; a `TMij` census sums its degree classes'
-and a `TMn` census its `TMij` parts', so each map is composed and rotated
-once per process.
+The b-tree and matching words all come from the one b-tree walk of
+`trees`, `_btree_walk`, which groups each finished word by (degree
+distribution, root degree) without parsing it.  The member lists read its
+word table, `_words_by_degrees`; the censuses of `BT`, `BTDeg` and `NCM`
+(at b = 0) are its census groups, summed over root degrees by
+`_btdeg_census_all`.  Only a `TMDeg` census enumerates maps; a `TMij`
+census sums its degree classes' and a `TMn` census its `TMij` parts', so
+each map is composed and rotated once per process.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import json
 from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
-from .trees import (Family, _admitted_words, _btree_fix, _btree_words,
+from .trees import (Family, _admitted_words, _btree_fix, _btree_walk,
                     _check_sizes, _degrees_feasible, _degrees_fix,
                     _normalize_degrees, _reroot, _TourWord, _Value,
                     arc_offsets, catalan, cyclic_period, degree_solutions,
@@ -178,7 +179,7 @@ class BT(_Maps, name="bt", guard=5):
         return rotate_btree(member, steps)
 
     def members(self):
-        for w in _btree_words(self.b, self.n):
+        for w in _admitted_words(self.b, self.n):
             yield BTreeWord(w)
 
     def _census(self):
@@ -213,8 +214,10 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
         return degrees == self.degrees
 
     def members(self):
-        for w in _admitted_words(self.b, self.n, self.admits):
-            yield BTreeWord(w)
+        # an infeasible list has no members, and reads no word table
+        if self.feasible():
+            for w in _admitted_words(self.b, self.n, self.admits):
+                yield BTreeWord(w)
 
     def _census(self):
         """This degree distribution's group of the one-walk b-tree census."""
@@ -345,7 +348,7 @@ class NCM(_Maps, name="ncm", guard=5):
 
 @functools.lru_cache(maxsize=None)
 def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
-    return tuple(map(NonCrossingMatching, _btree_words(0, j)))
+    return tuple(map(NonCrossingMatching, _admitted_words(0, j)))
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
@@ -417,90 +420,12 @@ def closed_count_maps(family) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _btdeg_census_all(b: int, n: int) -> dict:
-    """Period census of BT(b, n) grouped by degree distribution, in one walk.
-
-    The walk builds the words in `_btree_words` order and carries, for the
-    prefix, the node degrees (a bud adds one), how many nodes have each
-    degree, and the arc offsets of `arc_offsets`: closing the '(' at j by
-    the ')' at i writes i - j at j and L - (i - j) at i; a bud is 0.  A
-    finished word is not parsed again: it is grouped by the carried degree
-    counts, and its period is read off the offsets.  A period p below the
-    length L is confirmed by one literal re-rooting of the word; re-rooting
-    by the whole tour is the identity, so p = L needs none.
-    """
-    if b < 0 or n < 0:
-        return {}
-    size = 2 * n + b
-    letters = [""] * size
-    # Node k >= 1 is the k-th node reached, below the k-th '('.
-    degree = [0] * (n + 1)
-    # dist[d] = nodes reached so far with degree d (at most n + b); the
-    # root starts at 0
-    dist = [0] * (n + b + 1)
-    dist[0] = 1
-    parent = [0] * (n + 1)
-    opened_at = [0] * (n + 1)  # position of the '(' above each node
-    # one byte per offset; past 255 letters (enumerable only with very few
-    # edges) a str of chr(offset) does the same
-    offsets = bytearray(size) if size < 256 else [0] * size
-    encode = bytes if size < 256 else (lambda o: "".join(map(chr, o)))
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def walk(i: int, opens: int, buds: int, node: int) -> None:
-        """Extend the prefix of length i, which stands at `node`."""
-        if opens == n and buds == b:
-            while node:  # the rest of the word closes every open edge
-                j = opened_at[node]
-                offsets[j] = i - j
-                offsets[i] = size - (i - j)
-                letters[i] = ")"
-                node = parent[node]
-                i += 1
-            p = cyclic_period(encode(offsets))
-            if p < size:
-                word = "".join(letters)
-                if _reroot(word, -p) != word:
-                    raise AssertionError(f"{word} is not fixed by its period {p}")
-            counts = groups.setdefault(tuple(dist), {})
-            counts[p] = counts.get(p, 0) + 1
-            return
-        if opens < n:
-            child = opens + 1
-            d = degree[node]
-            degree[node] = d + 1
-            dist[d] -= 1
-            dist[d + 1] += 1
-            dist[1] += 1
-            degree[child] = 1
-            parent[child] = node
-            opened_at[child] = i
-            letters[i] = "("
-            walk(i + 1, child, buds, child)
-            degree[node] = d
-            dist[d] += 1
-            dist[d + 1] -= 1
-            dist[1] -= 1
-        if node:
-            j = opened_at[node]
-            offsets[j] = i - j
-            offsets[i] = size - (i - j)
-            letters[i] = ")"
-            walk(i + 1, opens, buds, parent[node])
-        if buds < b:
-            d = degree[node]
-            degree[node] = d + 1
-            dist[d] -= 1
-            dist[d + 1] += 1
-            offsets[i] = 0
-            letters[i] = "b"
-            walk(i + 1, opens, buds + 1, node)
-            degree[node] = d
-            dist[d] += 1
-            dist[d + 1] -= 1
-
-    walk(0, 0, 0, 0)
-    return {_normalize_degrees(key[1:]): tuple(sorted(counts.items()))
-            for key, counts in groups.items()}
+    """Period census of BT(b, n) grouped by degree distribution: the census
+    of the one b-tree walk, `trees._btree_walk`, summed over root degrees."""
+    by_degrees: dict[tuple[int, ...], list] = {}
+    for (degrees, _), census in _btree_walk(b, n, census=True).items():
+        by_degrees.setdefault(degrees, []).append(census)
+    return {degrees: _summed_census(parts) for degrees, parts in by_degrees.items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:

@@ -10,17 +10,20 @@ all share, and through which every member's structure is read: one word
 base (`_TourWord`, checked by `_validate_word` over its class's alphabet),
 one arc matcher (`_pair_offsets`, read as partners by `matching` and as a
 period key by `arc_offsets`), one re-rooting (`_reroot`, behind
-`shift_root` here and every rotation of `maps`) and the node readers
-`node_degrees` and `corner_nodes`.  It also provides the rotation kinds
-(`RotationKind`: which corners a rotation visits), the `Family` protocol
-that every family of the package implements with the two closed-form
-formulas most families share (b-trees by size and by degrees), the eight
-plane-tree families, the tree center, and the two structural surgeries
-used to classify trees fixed by a power of the rotation: cutting the
-central edge (half_tree / glue_halves) and keeping a 1/d sector around the
-central vertex (sector / replicate_sector).  Both are re-rootings: rooted
-at its central vertex, a tree fixed by the 2n/d rotation has the word u^d,
-and rooted at a marked leaf, a half is '(' + its subtrees + ')'.
+`shift_root` here and every rotation of `maps`), the node readers
+`node_degrees` and `corner_nodes`, and the one walk over b-tree words
+(`_btree_walk`), which groups them by (degree distribution, root degree)
+into the word table of every member list or into a period census.  It also
+provides the rotation kinds (`RotationKind`: which corners a rotation
+visits), the `Family` protocol that every family of the package implements
+with the two closed-form formulas most families share (b-trees by size and
+by degrees), the eight plane-tree families, the tree center, and the two
+structural surgeries used to classify trees fixed by a power of the
+rotation: cutting the central edge (half_tree / glue_halves) and keeping a
+1/d sector around the central vertex (sector / replicate_sector).  Both are
+re-rootings: rooted at its central vertex, a tree fixed by the 2n/d
+rotation has the word u^d, and rooted at a marked leaf, a half is '(' + its
+subtrees + ')'.
 
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
@@ -210,35 +213,6 @@ def _reroot(word: str, steps: int) -> str:
     return "".join(tail + head)
 
 
-@functools.lru_cache(maxsize=None)
-def _btree_words(b: int, n: int) -> tuple[str, ...]:
-    """All b-tree words with n edges and b buds, lexicographic ('(' < ')' <
-    'b'); with no buds, the plane-tree words with n edges."""
-    out: list[str] = []
-    if n < 0:  # BTDeg reads the degree list () as n = -1
-        return ()
-
-    def rec(prefix: list[str], opened: int, closed: int, buds: int) -> None:
-        if opened == n and closed == n and buds == b:
-            out.append("".join(prefix))
-            return
-        if opened < n:
-            prefix.append("(")
-            rec(prefix, opened + 1, closed, buds)
-            prefix.pop()
-        if closed < opened:
-            prefix.append(")")
-            rec(prefix, opened, closed + 1, buds)
-            prefix.pop()
-        if buds < b:
-            prefix.append("b")
-            rec(prefix, opened, closed, buds + 1)
-            prefix.pop()
-
-    rec([], 0, 0, 0)
-    return tuple(out)
-
-
 @functools.total_ordering
 class _TourWord(_Value):
     """A word of the kernel, validated over the class's `letters`, one of
@@ -274,7 +248,7 @@ class PlaneTree(_TourWord):
         return len(self.word) // 2
 
 
-def cyclic_period(symbols: str | bytes) -> int:
+def cyclic_period(symbols: str | bytes | bytearray) -> int:
     """Least p >= 1 whose cyclic shift fixes `symbols`; it divides the length."""
     return (symbols + symbols).find(symbols, 1) if symbols else 1
 
@@ -361,23 +335,114 @@ def degree_distribution(degree: list[int]) -> tuple[int, ...]:
     return tuple(dist)
 
 
+def _btree_walk(b: int, n: int, census: bool) -> dict[tuple, tuple]:
+    """The b-tree words with n edges and b buds (with no buds, the plane-tree
+    words) grouped by (degree distribution, root degree), buds counted in a
+    node's degree: each group's words in lexicographic order ('(' < ')' <
+    'b'), or with `census` its ((period, count), ...) sorted by period.
+
+    The walk builds the words in order and carries, for the prefix, the
+    node degrees, how many nodes have each degree, and the arc offsets of
+    `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
+    and L - (i - j) at i; a bud is 0.  A finished word is not parsed again.
+    A period p below the length L is confirmed by one literal re-rooting of
+    the word; re-rooting by the whole tour is the identity, so p = L needs
+    none.
+    """
+    if b < 0 or n < 0:  # BTDeg reads the degree list () as n = -1
+        return {}
+    size = 2 * n + b
+    letters = [""] * size
+    # Node k >= 1 is the k-th node reached, below the k-th '('.
+    degree = [0] * (n + 1)
+    # dist[d] = nodes reached so far with degree d (at most n + b); the
+    # root starts at 0
+    dist = [0] * (n + b + 1)
+    dist[0] = 1
+    parent = [0] * (n + 1)
+    opened_at = [0] * (n + 1)  # position of the '(' above each node
+    # one byte per offset, read by `cyclic_period` as it is; past 255
+    # letters (enumerable only with very few edges) a str of chr(offset)
+    offsets = bytearray(size) if size < 256 else [0] * size
+    period = cyclic_period if size < 256 else (
+        lambda o: cyclic_period("".join(map(chr, o))))
+    groups: dict[tuple, dict[int, int] | list[str]] = {}
+
+    def walk(i: int, opens: int, buds: int, node: int) -> None:
+        """Extend the prefix of length i, which stands at `node`."""
+        if opens == n and buds == b:
+            while node:  # the rest of the word closes every open edge
+                j = opened_at[node]
+                offsets[j] = i - j
+                offsets[i] = size - (i - j)
+                letters[i] = ")"
+                node = parent[node]
+                i += 1
+            key = (tuple(dist), degree[0])
+            if not census:
+                groups.setdefault(key, []).append("".join(letters))
+                return
+            p = period(offsets)
+            if p < size:
+                word = "".join(letters)
+                if _reroot(word, -p) != word:
+                    raise AssertionError(f"{word} is not fixed by its period {p}")
+            counts = groups.setdefault(key, {})
+            counts[p] = counts.get(p, 0) + 1
+            return
+        if opens < n:
+            child = opens + 1
+            d = degree[node]
+            degree[node] = d + 1
+            dist[d] -= 1
+            dist[d + 1] += 1
+            dist[1] += 1
+            degree[child] = 1
+            parent[child] = node
+            opened_at[child] = i
+            letters[i] = "("
+            walk(i + 1, child, buds, child)
+            degree[node] = d
+            dist[d] += 1
+            dist[d + 1] -= 1
+            dist[1] -= 1
+        if node:
+            j = opened_at[node]
+            offsets[j] = i - j
+            offsets[i] = size - (i - j)
+            letters[i] = ")"
+            walk(i + 1, opens, buds, parent[node])
+        if buds < b:
+            d = degree[node]
+            degree[node] = d + 1
+            dist[d] -= 1
+            dist[d + 1] += 1
+            offsets[i] = 0
+            letters[i] = "b"
+            walk(i + 1, opens, buds + 1, node)
+            degree[node] = d
+            dist[d] += 1
+            dist[d + 1] -= 1
+
+    walk(0, 0, 0, 0)
+    return {(_normalize_degrees(counts[1:]), root):
+            tuple(sorted(group.items())) if census else tuple(group)
+            for (counts, root), group in groups.items()}
+
+
 @functools.lru_cache(maxsize=None)
 def _words_by_degrees(b: int, n: int) -> dict[tuple, tuple[str, ...]]:
-    """The words of `_btree_words(b, n)` grouped by (degree distribution,
-    root degree), buds counted in a node's degree, in one pass; each group
-    keeps word order."""
-    groups: dict[tuple, list[str]] = {}
-    for word in _btree_words(b, n):
-        degree = node_degrees(word)
-        groups.setdefault((degree_distribution(degree), degree[0]), []).append(word)
-    return {key: tuple(words) for key, words in groups.items()}
+    """The word table: the words of the b-tree walk, grouped by (degree
+    distribution, root degree), each group in word order."""
+    return _btree_walk(b, n, census=False)
 
 
-def _admitted_words(b: int, n: int, admits) -> tuple[str, ...] | list[str]:
+def _admitted_words(b: int, n: int, admits=None) -> tuple[str, ...] | list[str]:
     """The words of the groups of `_words_by_degrees(b, n)` whose key
-    (degrees, root_degree) `admits`, merged back into word order."""
+    (degrees, root_degree) `admits` (all of them by default), merged back
+    into word order."""
     groups = [words for key, words in _words_by_degrees(b, n).items()
-              if admits(*key)]
+              if admits is None or admits(*key)]
     return groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
 
 
@@ -514,7 +579,7 @@ class Family(_Value):
 
     @property
     def word_length(self) -> int:
-        """Letters in each member's word: the depth of the enumerating walks."""
+        """Letters in each member's word: the depth of the b-tree walk."""
         return 2 * self.n
 
     def count(self) -> int:
@@ -587,7 +652,7 @@ class AllTrees(_PlaneTrees, name="all_trees"):
     def members(self):
         # a `stats` scan of every word, all admitted, kept only because the
         # benchmark's self-test pins the scanned count (ROADMAP item 1)
-        for word in _btree_words(0, self.n):
+        for word in _admitted_words(0, self.n):
             t = PlaneTree(word)
             st = stats(t)
             if self.admits(st.degrees, st.root_degree):
@@ -670,6 +735,10 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
         # the bare node (root degree 0) has no degree that a list counts
         return (degrees == self.degrees and root_degree > 0
                 and self.kind.eligible(root_degree))
+
+    def members(self):
+        # an infeasible list has no members, and reads no word table
+        return super().members() if _degrees_feasible(self.degrees) else iter(())
 
     def fix_closed(self, d: int) -> int:
         # an infeasible list may have no order for its kind, and no members

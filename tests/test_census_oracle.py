@@ -15,6 +15,7 @@ from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
                                PlaneTree, RootDegree, degree_distributions,
                                enumerate_family, stats)
+from word_reference import reference_table, reference_words
 
 MAX_N = 7
 
@@ -124,7 +125,7 @@ def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
     """A period below the word length rests on a literal re-rooting: a
     re-rooting that disagrees fails the census of ()() (period 2 of 4)."""
     maps._btdeg_census_all.cache_clear()
-    monkeypatch.setattr(maps, "_reroot", lambda word, steps: word + "b")
+    monkeypatch.setattr(trees, "_reroot", lambda word, steps: word + "b")
     try:
         with pytest.raises(AssertionError):
             maps._btdeg_census_all(0, 2)
@@ -132,16 +133,36 @@ def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
         maps._btdeg_census_all.cache_clear()
 
 
-def test_btree_walk_carries_its_degree_distribution():
-    """The walk groups every word of BT(3, 4) as a parse of each word does."""
-    expected = {}
-    for w in maps._btree_words(3, 4):
-        degrees = trees.degree_distribution(trees.node_degrees(w))
+def offset_census(words):
+    counts = {}
+    for w in words:
         p = trees.cyclic_period(trees.arc_offsets(w))
-        counts = expected.setdefault(degrees, {})
         counts[p] = counts.get(p, 0) + 1
-    expected = {k: tuple(sorted(c.items())) for k, c in expected.items()}
-    assert maps._btdeg_census_all(3, 4) == expected
+    return tuple(sorted(counts.items()))
+
+
+def test_btree_walk_carries_its_degree_distribution():
+    """The walk groups every word of BT(3, 4) as a parse of each word does:
+    by (degree distribution, root degree), and by distribution alone in
+    `_btdeg_census_all`."""
+    table = reference_table(3, 4)
+    assert trees._btree_walk(3, 4, census=True) == \
+        {key: offset_census(words) for key, words in table.items()}
+    by_degrees = {}
+    for (degrees, _), words in table.items():
+        by_degrees.setdefault(degrees, []).extend(words)
+    assert maps._btdeg_census_all(3, 4) == \
+        {degrees: offset_census(words) for degrees, words in by_degrees.items()}
+
+
+def test_word_table_matches_the_reference():
+    """Every group of the word table, in word order, at every length up to
+    10; a negative size has no words."""
+    for size in range(11):
+        for b in range(size % 2, size + 1, 2):
+            assert trees._words_by_degrees(b, (size - b) // 2) == \
+                reference_table(b, (size - b) // 2), (b, size)
+    assert trees._words_by_degrees(2, -1) == trees._words_by_degrees(-1, 2) == {}
 
 
 def test_btree_walk_past_255_letters_matches_closed_form():
@@ -157,8 +178,9 @@ def test_btree_distributions_are_the_census_keys():
     for b in range(0, 9):
         for n in range(0, 9 - b):
             listed = maps.btree_degree_distributions(b, n)
-            realized = sorted({trees.degree_distribution(trees.node_degrees(w)) for w in maps._btree_words(b, n)})
-            assert listed == realized == sorted(maps._btdeg_census_all(b, n)), (b, n)
+            assert listed == sorted(maps._btdeg_census_all(b, n)), (b, n)
+            if 2 * n + b <= 10:
+                assert listed == sorted({d for d, _ in reference_table(b, n)}), (b, n)
 
 
 def test_btree_distributions_of_one_node_with_many_buds():
@@ -169,8 +191,32 @@ def test_btree_distributions_of_one_node_with_many_buds():
 
 def test_enumeration_order_and_membership_unchanged():
     for n in range(0, MAX_N + 1):
-        parsed = [(w, stats(PlaneTree(w))) for w in trees._btree_words(0, n)]
+        parsed = [(w, stats(PlaneTree(w))) for w in reference_words(0, n)]
         for family in {family for family, _ in tree_families(n)}:
             expected = [w for w, st in parsed
                         if family.admits(st.degrees, st.root_degree)]
             assert [t.word for t in enumerate_family(family)] == expected, family
+
+
+def test_walk_groups_give_every_tree_census():
+    """The census groups of the b = 0 walk that a family admits, each period
+    P scaled to order * P / 2n, sum to the family's census for each kind:
+    one walk per n could serve every plane-tree family."""
+    checked = 0
+    for n in range(0, MAX_N + 1):
+        groups = trees._btree_walk(0, n, census=True)
+        for family, kind in tree_families(n):
+            try:
+                order = family.order(kind)
+            except ValueError:
+                continue
+            counts = {}
+            for key, census in groups.items():
+                if family.admits(*key):
+                    for p, c in census:
+                        p = order * p // (2 * n) if n else 1
+                        counts[p] = counts.get(p, 0) + c
+            assert tuple(sorted(counts.items())) == \
+                rotations._period_census(family, kind), (family, kind)
+            checked += 1
+    assert checked == 557

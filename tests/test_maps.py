@@ -14,9 +14,9 @@ from sieveforest.maps import (BT, BTDeg, BTreeWord, CubicHamiltonianMap, NCM,
                               from_cubic,
                               map_fixed_via_parts,
                               rotate_btree, rotate_map, rotate_ncm, to_cubic)
-from sieveforest.trees import (_btree_words, catalan, degree_distribution,
-                               degree_solutions, family_from_descriptor,
-                               matching, node_degrees)
+from sieveforest.trees import (catalan, degree_solutions,
+                               family_from_descriptor, matching)
+from word_reference import reference_table
 
 
 def small_degree_tuples(max_len=4, max_count=5):
@@ -148,9 +148,10 @@ class TestCounts:
                         == closed_count_maps(fam)
                     # the b-tree words of this distribution, in their order;
                     # BTDeg reads the bare node's () as n = -1, with no words
-                    scan = [BTreeWord(w) for w in _btree_words(b, fam.n)
-                            if degree_distribution(node_degrees(w)) == degrees]
-                    assert list(fam.members()) == scan
+                    groups = reference_table(b, n) if fam.n == n else {}
+                    scan = sorted(w for (d, _), words in groups.items()
+                                  if d == degrees for w in words)
+                    assert [m.word for m in fam.members()] == scan
 
     def test_each_map_is_composed_once(self, monkeypatch):
         """From cold caches, the TMn(4) census composes each of its maps

@@ -33,10 +33,11 @@ from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, NoEligibleCorner,
                                    degree_kind, rotate)
 from sieveforest.trees import (CentralEdge, CentralVertex, DegreeNotDivisible,
                                MarkedLeafIsRoot, MarkedTree, NotFixed,
-                               NotVertexCentered, PlaneTree, _btree_words,
-                               center, corner_nodes, glue_halves, matching,
+                               NotVertexCentered, PlaneTree, center,
+                               corner_nodes, glue_halves, matching,
                                node_degrees, replicate_sector, sector,
                                shift_root)
+from word_reference import reference_words
 
 MAX_N = 7
 KINDS = (ORDINARY, LEAF, INTERNAL) + tuple(degree_kind(d) for d in range(1, 6))
@@ -401,7 +402,7 @@ def outcome(fn, *args):
 
 def tree_words():
     for n in range(MAX_N + 1):
-        yield from _btree_words(0, n)
+        yield from reference_words(0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +419,14 @@ def test_corner_nodes_are_the_parse():
 @pytest.mark.parametrize("n", range(MAX_N + 1))
 def test_rotations_match_the_reference(n):
     """Every word, kind and steps -3 ... 2n + 2: the same word or error."""
-    for word, kind in itertools.product(_btree_words(0, n), KINDS):
+    for word, kind in itertools.product(reference_words(0, n), KINDS):
         for steps in range(-3, 2 * n + 3):
             new = outcome(lambda: rotate(PlaneTree(word), kind, steps).word)
             assert new == outcome(ref_rotate, word, kind, steps), (word, kind, steps)
 
 
 def test_rotation_by_its_order_returns_the_tree_itself():
-    for word in _btree_words(0, 5):
+    for word in reference_words(0, 5):
         t = PlaneTree(word)
         for kind in KINDS:
             k = sum(d for d in node_degrees(word) if kind.eligible(d))
@@ -449,7 +450,7 @@ def test_sector_matches_the_reference(n):
     """Every tree with n <= 10 at every d >= 2 dividing the central degree,
     and for n <= 6 at every d from -1 to 2n + 1: the same marked tree or
     error."""
-    for word in _btree_words(0, n):
+    for word in reference_words(0, n):
         c = center(PlaneTree(word))
         degree = len(c.corners) if isinstance(c, CentralVertex) else 0
         ds = range(-1, 2 * n + 2) if n <= 6 else \
@@ -477,7 +478,7 @@ def test_replicate_and_glue_match_the_reference():
 def test_dissection_to_tree_matches_the_reference():
     seen = 0
     for n in range(11):
-        for word in _btree_words(0, n):
+        for word in reference_words(0, n):
             d = outcome(tree_to_dissection, PlaneTree(word))
             if isinstance(d, Dissection):
                 seen += 1
@@ -528,7 +529,7 @@ MAX_ARCS = 8
 
 def matching_words():
     for j in range(MAX_ARCS + 1):
-        yield from _btree_words(0, j)
+        yield from reference_words(0, j)
 
 
 def test_matching_word_and_partner_match_the_reference():
@@ -560,7 +561,7 @@ def reference_partitions():
             if isinstance(ref, RefPartition):
                 seen += 1
                 yield ref, NonCrossingPartition.from_blocks(ref.blocks())
-        assert seen == len(_btree_words(0, n))
+        assert seen == len(reference_words(0, n))
 
 
 def test_partition_assignment_and_blocks_match_the_reference():

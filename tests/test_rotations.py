@@ -124,7 +124,7 @@ class TestFixCounts:
                         query = FixQuery(fam, kind, e)
                         assert fix_count_bruteforce(query) == len(members)
                         with monkeypatch.context() as m:
-                            m.setattr(trees, "_btree_words", None)
+                            m.setattr(trees, "_btree_walk", None)
                             m.setattr(trees, "_words_by_degrees", None)
                             assert fam.count() == len(members), fam
                             assert fix_count_closed(query) == len(members), \

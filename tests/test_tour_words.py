@@ -15,8 +15,9 @@ from sieveforest.bijections import NonCrossingPartition, point_rotation
 from sieveforest.maps import (BTreeWord, NonCrossingMatching, TMn,
                               TreeRootedMap, enumerate_maps, rotate_btree,
                               rotate_map, rotate_ncm)
-from sieveforest.trees import (PlaneTree, _btree_words, arc_offsets,
-                               cyclic_period, matching, shift_root)
+from sieveforest.trees import (PlaneTree, arc_offsets, cyclic_period,
+                               matching, shift_root)
+from word_reference import reference_words
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -184,9 +185,10 @@ KINDS = (  # (word class, reference validator, kernel rotation, reference rotati
 )
 
 tree_words = st.integers(0, 7).flatmap(
-    lambda n: st.sampled_from(_btree_words(0, n)))
-btree_words = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
-    lambda bn: st.sampled_from(_btree_words(*bn)))
+    lambda n: st.sampled_from(reference_words(0, n)))
+btree_words = st.sampled_from(
+    [(b, n) for b in range(6) for n in range(6) if 2 * n + b <= 10]).flatmap(
+    lambda bn: st.sampled_from(reference_words(*bn)))
 map_words = st.integers(0, 4).flatmap(
     lambda n: st.sampled_from([m.word for m in enumerate_maps(TMn(n))]))
 valid_words = st.one_of(tree_words, btree_words, map_words)

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sieveforest import trees
+from sieveforest.cli import run
+from sieveforest.maps import BTDeg
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, CentralEdge,
                                CentralVertex, InternalRooted,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
@@ -77,6 +80,21 @@ class TestFamilies:
         for n in range(1, 8):
             assert sum(closed_count(ByDegrees(d)) for d in degree_distributions(n)) \
                 == catalan(n)
+
+    def test_infeasible_degree_lists_list_nothing_without_a_walk(
+            self, monkeypatch, capsys):
+        """No tree (no b-tree, buds included) has these degrees: listing
+        the members reads no word table."""
+        def walk(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(trees, "_btree_walk", walk)
+        monkeypatch.setattr(trees, "_words_by_degrees", walk)
+        for fam in (ByDegrees((24,)), InternalRootedDeg((0, 2)), BTDeg(1, (0, 2))):
+            assert list(fam.members()) == [] and fam.count() == 0, fam
+        assert run(["enumerate", "--family", "by_degrees", "--degrees", "24",
+                    "--size-guard", "12"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_descriptor_round_trip(self):
         for fam in (AllTrees(4), ByLeaves(5, 3), LeafRooted(5, 3),
