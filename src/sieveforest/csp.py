@@ -25,7 +25,7 @@ from .trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
 
 
 class InfeasibleParams(ValueError):
-    """Parameters outside the theorem's range (empty family or undefined P)."""
+    """Parameters outside the theorem's range (see `Theorem`)."""
 
 
 class SizeGuardExceeded(ValueError):
@@ -42,15 +42,11 @@ MAX_POLY_DEGREE = 10_000
 
 class Theorem(_Value):
     """One sieving result.  Its parameters are the family's fields, in
-    order; `feasible(family)` is the range it holds on, and `qproduct(family)`
-    its polynomial as a q-product."""
+    order, and `qproduct(family)` is its polynomial as a q-product.  It
+    holds wherever the family is `feasible()`, its rotation has positive
+    order and the q-product is defined (`build_instance`)."""
     family: type
-    feasible: Callable[[object], bool]
     qproduct: Callable[[object], QProductExpr]
-
-
-def _leaf_range(f) -> bool:
-    return f.n >= 2 and 2 <= f.k <= f.n
 
 
 def _delta_qproduct(f) -> QProductExpr:
@@ -63,56 +59,41 @@ def _delta_qproduct(f) -> QProductExpr:
 
 # The one table of the results: a new theorem is one row.
 THEOREMS = {
-    "ord": Theorem(
-        AllTrees, lambda f: f.n >= 1,
-        lambda f: q_binomial(2 * f.n, f.n) * QProductExpr(den=(f.n + 1,))),
-    "ord_leaves": Theorem(
-        ByLeaves, _leaf_range,
-        lambda f: (QProductExpr(num=(2 * f.n,), den=(f.n, f.n - 1))
-                   * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
-    "ext": Theorem(
-        LeafRooted, _leaf_range,
-        lambda f: (QProductExpr(den=(f.n - 1,))
-                   * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n - 1, f.k - 1))),
-    "int": Theorem(
-        InternalRooted, _leaf_range,
-        lambda f: (QProductExpr(num=(2 * f.n - f.k,), den=(f.n, f.n - 1))
-                   * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
-    "ord_deg": Theorem(
-        ByDegrees, lambda f: f.n >= 1 and f.count() > 0,
-        lambda f: (QProductExpr(num=(2 * f.n,), den=(f.n, f.n + 1))
-                   * q_multinomial(f.n + 1, f.degrees))),
-    "delta": Theorem(
-        RootDegree, lambda f: f.n >= 1 and f.count() > 0,
-        _delta_qproduct),
-    "int_deg": Theorem(
-        InternalRootedDeg,
-        lambda f: f.n >= 1 and f.degrees[0] > 0 and f.count() > 0,
-        lambda f: (QProductExpr(num=(2 * f.n - f.degrees[0],), den=(f.n + 1, f.n))
-                   * q_multinomial(f.n + 1, f.degrees))),
-    "btij": Theorem(
-        BT, lambda f: f.b + f.n > 0,
-        lambda f: (QProductExpr(den=(f.n + 1,))
-                   * q_multinomial(2 * f.n + f.b, (f.b, f.n, f.n)))),
-    "btd": Theorem(
-        BTDeg, lambda f: f.n >= 0 and f.feasible() and f.count() > 0,
-        lambda f: (QProductExpr(num=(2 * f.n + f.b,), den=(f.n + f.b + 1, f.n + f.b))
-                   * q_multinomial(f.n + f.b + 1, (f.b,) + f.degrees))),
-    "tmij": Theorem(
-        TMij, lambda f: f.i + f.j > 0,
-        lambda f: (QProductExpr(den=(f.i + 1, f.j + 1))
-                   * q_multinomial(2 * f.i + 2 * f.j, (f.i, f.i, f.j, f.j)))),
-    "tmn": Theorem(
-        TMn, lambda f: f.n >= 1,
-        lambda f: (q_binomial(2 * f.n, f.n) * q_binomial(2 * f.n + 2, f.n + 1)
-                   * QProductExpr(den=(f.n + 1, f.n + 2)))),
-    "tmd": Theorem(
-        TMDeg, lambda f: f.n >= 1 and f.count() > 0,
-        lambda f: (QProductExpr(num=(2 * f.n,), den=(f.j + 1, f.n + f.j + 1, f.n + f.j))
-                   * q_multinomial(f.n + f.j + 1, (f.j, f.j) + f.degrees))),
-    "ncm_rotation": Theorem(
-        NCM, lambda f: f.j >= 1,
-        lambda f: q_binomial(2 * f.j, f.j) * QProductExpr(den=(f.j + 1,))),
+    "ord": Theorem(AllTrees, lambda f: (
+        q_binomial(2 * f.n, f.n) * QProductExpr(den=(f.n + 1,)))),
+    "ord_leaves": Theorem(ByLeaves, lambda f: (
+        QProductExpr(num=(2 * f.n,), den=(f.n, f.n - 1))
+        * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
+    "ext": Theorem(LeafRooted, lambda f: (
+        QProductExpr(den=(f.n - 1,))
+        * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n - 1, f.k - 1))),
+    "int": Theorem(InternalRooted, lambda f: (
+        QProductExpr(num=(2 * f.n - f.k,), den=(f.n, f.n - 1))
+        * q_binomial(f.n - 1, f.k - 2) * q_binomial(f.n, f.k))),
+    "ord_deg": Theorem(ByDegrees, lambda f: (
+        QProductExpr(num=(2 * f.n,), den=(f.n, f.n + 1))
+        * q_multinomial(f.n + 1, f.degrees))),
+    "delta": Theorem(RootDegree, _delta_qproduct),
+    "int_deg": Theorem(InternalRootedDeg, lambda f: (
+        QProductExpr(num=(2 * f.n - f.degrees[0],), den=(f.n + 1, f.n))
+        * q_multinomial(f.n + 1, f.degrees))),
+    "btij": Theorem(BT, lambda f: (
+        QProductExpr(den=(f.n + 1,))
+        * q_multinomial(2 * f.n + f.b, (f.b, f.n, f.n)))),
+    "btd": Theorem(BTDeg, lambda f: (
+        QProductExpr(num=(2 * f.n + f.b,), den=(f.n + f.b + 1, f.n + f.b))
+        * q_multinomial(f.n + f.b + 1, (f.b,) + f.degrees))),
+    "tmij": Theorem(TMij, lambda f: (
+        QProductExpr(den=(f.i + 1, f.j + 1))
+        * q_multinomial(2 * f.i + 2 * f.j, (f.i, f.i, f.j, f.j)))),
+    "tmn": Theorem(TMn, lambda f: (
+        q_binomial(2 * f.n, f.n) * q_binomial(2 * f.n + 2, f.n + 1)
+        * QProductExpr(den=(f.n + 1, f.n + 2)))),
+    "tmd": Theorem(TMDeg, lambda f: (
+        QProductExpr(num=(2 * f.n,), den=(f.j + 1, f.n + f.j + 1, f.n + f.j))
+        * q_multinomial(f.n + f.j + 1, (f.j, f.j) + f.degrees))),
+    "ncm_rotation": Theorem(NCM, lambda f: (
+        q_binomial(2 * f.j, f.j) * QProductExpr(den=(f.j + 1,)))),
 }
 
 THEOREM_IDS = tuple(THEOREMS)
@@ -147,16 +128,15 @@ def build_instance(theorem: str, **params) -> CspInstance:
     try:
         family = _trees.family_from_descriptor(
             {**params, "family": spec.family.name})
-        if not spec.feasible(family):
-            raise InfeasibleParams(f"{theorem} with {params}: outside the "
-                                   "theorem's range")
+        if not family.feasible():
+            raise ValueError(f"{family} has no members")
+        order = family.order(family.kind)
+        if order <= 0:
+            raise ValueError(f"the rotation of {family} has order {order}")
         expr = spec.qproduct(family)
     except (ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, InfeasibleParams):
-            raise
         raise InfeasibleParams(f"{theorem} with {params}: {exc}") from exc
-    return CspInstance(theorem, dict(params), family, family.kind,
-                       family.order(family.kind), expr)
+    return CspInstance(theorem, dict(params), family, family.kind, order, expr)
 
 
 # ---------------------------------------------------------------------------

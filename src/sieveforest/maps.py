@@ -178,9 +178,12 @@ class BT(_Maps, name="bt", guard=5):
     def rotate(self, member, steps: int):
         return rotate_btree(member, steps)
 
+    admits = None  # every group of the word table
+
     def members(self):
-        for w in _admitted_words(self.b, self.n):
-            yield BTreeWord(w)
+        if self.feasible():
+            for w in _admitted_words(self.b, self.n, self.admits):
+                yield BTreeWord(w)
 
     def _census(self):
         """The one-walk b-tree census, summed over degree distributions."""
@@ -206,22 +209,18 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
 
     word_length = BT.word_length
     rotate = BT.rotate
+    members = BT.members
 
     def feasible(self) -> bool:
-        return _degrees_feasible(self.degrees, self.b)
+        # the empty list () counts no node, so no tree has it
+        return self.n >= 0 and _degrees_feasible(self.degrees, self.b)
 
     def admits(self, degrees, root_degree) -> bool:
         return degrees == self.degrees
 
-    def members(self):
-        # an infeasible list has no members, and reads no word table
-        if self.feasible():
-            for w in _admitted_words(self.b, self.n, self.admits):
-                yield BTreeWord(w)
-
     def _census(self):
         """This degree distribution's group of the one-walk b-tree census."""
-        if not self.feasible() or self.n < 0:
+        if not self.feasible():
             return ()
         return _btdeg_census_all(self.b, self.n).get(self.degrees, ())
 
@@ -310,6 +309,9 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
 
     def _btrees(self):
         return BTDeg(2 * self.j, self.degrees)
+
+    def feasible(self) -> bool:
+        return self._btrees().feasible()
 
     def fix_closed(self, d: int) -> int:
         return (_degrees_fix(self.word_length, 2 * self.j, self.degrees, d)

@@ -349,7 +349,7 @@ def _btree_walk(b: int, n: int, census: bool) -> dict[tuple, tuple]:
     the word; re-rooting by the whole tour is the identity, so p = L needs
     none.
     """
-    if b < 0 or n < 0:  # BTDeg reads the degree list () as n = -1
+    if b < 0 or n < 0:
         return {}
     size = 2 * n + b
     letters = [""] * size
@@ -546,6 +546,8 @@ class Family(_Value):
     enters F in FAMILIES under `name`; `guard` is its default size guard.
 
     Each family answers for itself:
+      feasible()    whether it can have members at all, from its
+                    parameters alone, never a closed form (True by default);
       members()     every member once, in a fixed order, by enumeration;
       kind          the rotation its theorem uses (None for map families,
                     which have one rotation);
@@ -558,7 +560,8 @@ class Family(_Value):
 
     The plane-tree families and `BTDeg` list as members the groups of the
     word table `_words_by_degrees(b, n)` whose key, a degree distribution
-    (buds included) and a root degree, the family `admits(degrees, root_degree)`.
+    (buds included) and a root degree, the family `admits(degrees, root_degree)`;
+    a family that is not `feasible()` reads no word table.
 
     Two formulas serve most families: `_btree_fix` (b-trees by size; plane
     trees and non-crossing matchings are the b-trees with no buds) and
@@ -581,6 +584,9 @@ class Family(_Value):
     def word_length(self) -> int:
         """Letters in each member's word: the depth of the b-tree walk."""
         return 2 * self.n
+
+    def feasible(self) -> bool:
+        return True
 
     def count(self) -> int:
         return self.fix_closed(1)
@@ -615,9 +621,11 @@ class _PlaneTrees(Family):
     kind = ORDINARY
 
     def members(self):
-        """In lexicographic word order."""
-        for word in _admitted_words(0, self.n, self.admits):
-            yield PlaneTree(word)
+        """In lexicographic word order; none, and no word table read, for
+        a family that is not `feasible()`."""
+        if self.feasible():
+            for word in _admitted_words(0, self.n, self.admits):
+                yield PlaneTree(word)
 
     def census(self, kind: RotationKind):
         from . import rotations  # which imports this module
@@ -676,6 +684,10 @@ class _ByLeafCount(_PlaneTrees):
     def leaves(self) -> int:
         return self.k
 
+    def feasible(self) -> bool:
+        # leaves: the bare node none, '()' two, a larger tree two (a path) to n (a star)
+        return self.k == 2 * self.n if self.n <= 1 else 2 <= self.k <= self.n
+
     def admits(self, degrees, root_degree) -> bool:
         return (degrees[0] if degrees else 0) == self.k and self.kind.eligible(root_degree)
 
@@ -731,18 +743,15 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
         """degrees[i-1]: 0 past the end of the list."""
         return self.degrees[i - 1] if i <= len(self.degrees) else 0
 
-    def admits(self, degrees, root_degree) -> bool:
-        # the bare node (root degree 0) has no degree that a list counts
-        return (degrees == self.degrees and root_degree > 0
-                and self.kind.eligible(root_degree))
+    def feasible(self) -> bool:
+        return _degrees_feasible(self.degrees)
 
-    def members(self):
-        # an infeasible list has no members, and reads no word table
-        return super().members() if _degrees_feasible(self.degrees) else iter(())
+    def admits(self, degrees, root_degree) -> bool:
+        return degrees == self.degrees and self.kind.eligible(root_degree)
 
     def fix_closed(self, d: int) -> int:
         # an infeasible list may have no order for its kind, and no members
-        if not _degrees_feasible(self.degrees):
+        if not self.feasible():
             return 0
         return _degrees_fix(self.order(self.kind), 0, self.degrees, d)
 

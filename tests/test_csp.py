@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ from sieveforest.csp import (ALL_EXPONENTS, CHU_VANDERMONDE_TM, DIVISORS,
                              check_size_guard, check_sum_identity, verify)
 from sieveforest.qseries import QPolynomial, eval_expr_at_root
 from sieveforest.rotations import FixQuery, fix_count_bruteforce, fix_count_closed
-from sieveforest.trees import FAMILIES, family_from_descriptor
+from sieveforest.trees import ByDegrees, FAMILIES, family_from_descriptor
 
 
 # One small instance of every theorem.
@@ -25,6 +26,53 @@ SMALL_PARAMS = {"ord": dict(n=4), "ord_leaves": dict(n=4, k=3),
                 "tmij": dict(i=1, j=1), "tmn": dict(n=2),
                 "tmd": dict(j=1, degrees=(1, 0, 1)),
                 "ncm_rotation": dict(j=3)}
+
+
+def _leaf_range(f) -> bool:
+    return f.n >= 2 and 2 <= f.k <= f.n
+
+
+# The ranges the theorems were first given, one predicate each; kept as a
+# reference for the one rule of `build_instance`.
+REFERENCE_RANGES = {
+    "ord": lambda f: f.n >= 1,
+    "ord_leaves": _leaf_range,
+    "ext": _leaf_range,
+    "int": _leaf_range,
+    "ord_deg": lambda f: f.n >= 1 and f.count() > 0,
+    "delta": lambda f: f.n >= 1 and f.count() > 0,
+    "int_deg": lambda f: f.n >= 1 and f.degrees[0] > 0 and f.count() > 0,
+    "btij": lambda f: f.b + f.n > 0,
+    "btd": lambda f: f.n >= 0 and f.feasible() and f.count() > 0,
+    "tmij": lambda f: f.i + f.j > 0,
+    "tmn": lambda f: f.n >= 1,
+    "tmd": lambda f: f.n >= 1 and f.count() > 0,
+    "ncm_rotation": lambda f: f.j >= 1,
+}
+
+
+def reference_grid():
+    """(theorem, params) over small sizes, out-of-range values included."""
+    lists = [d for length in range(6)
+             for d in itertools.product(range(4), repeat=length)]
+    for n in range(-1, 11):
+        yield "ord", dict(n=n)
+        for k in range(-1, n + 3):
+            for theorem in ("ord_leaves", "ext", "int"):
+                yield theorem, dict(n=n, k=k)
+    for d in lists:
+        yield "ord_deg", dict(degrees=d)
+        yield "int_deg", dict(degrees=d)
+        for delta in range(len(d) + 2):
+            yield "delta", dict(degrees=d, delta=delta)
+        for b in range(6):
+            yield "btd", dict(b=b, degrees=d)
+        for j in range(4):
+            yield "tmd", dict(j=j, degrees=d)
+    yield from (("btij", dict(b=b, n=n)) for b in range(7) for n in range(7))
+    yield from (("tmij", dict(i=i, j=j)) for i in range(5) for j in range(5))
+    yield from (("tmn", dict(n=n)) for n in range(7))
+    yield from (("ncm_rotation", dict(j=j)) for j in range(9))
 
 
 class TestBuildInstance:
@@ -71,6 +119,41 @@ class TestBuildInstance:
             build_instance("ord_deg", degrees=(1, 1))  # degree sum mismatch
         with pytest.raises(InfeasibleParams):
             build_instance("nonsense", n=3)
+        for theorem, params in [("ord", dict(n=0)), ("int_deg", dict(degrees=(2,))),
+                                ("btd", dict(b=2, degrees=())),
+                                ("ord_leaves", dict(n=5, k=6))]:
+            with pytest.raises(InfeasibleParams):
+                build_instance(theorem, **params)
+
+    def test_range_is_the_reference_ranges(self):
+        """A theorem is built exactly where its reference range holds, with
+        the order of its family's rotation."""
+        cases = list(reference_grid())
+        assert len(cases) == 25_890
+        accepted = 0
+        for theorem, params in cases:
+            spec = THEOREMS[theorem]
+            try:
+                family = family_from_descriptor({**params, "family": spec.family.name})
+            except ValueError:
+                family = None
+            if family is not None and REFERENCE_RANGES[theorem](family):
+                inst = build_instance(theorem, **params)
+                assert inst.order == family.order(family.kind) > 0, (theorem, params)
+                accepted += 1
+            else:
+                with pytest.raises(InfeasibleParams):
+                    build_instance(theorem, **params)
+        assert accepted == 1037
+
+    def test_a_closed_form_of_zero_is_checked_not_refused(self, monkeypatch):
+        # the range reads no closed form, so a wrong one shows as a
+        # disagreement instead of an instance refused as out of range
+        monkeypatch.setattr(ByDegrees, "fix_closed", lambda self, d: 0)
+        report = verify(build_instance("ord_deg", degrees=(2, 1)), ALL_EXPONENTS)
+        assert [(r["brute"], r["closed"], r["poly_value"]) for r in report.rows] == \
+            [(2, 0, 2), (0, 0, 0), (2, 0, 2), (0, 0, 0)]
+        assert not report.overall
 
     def test_all_theorem_ids_buildable(self):
         assert set(SMALL_PARAMS) == set(THEOREM_IDS)

@@ -83,18 +83,20 @@ class TestFamilies:
 
     def test_infeasible_degree_lists_list_nothing_without_a_walk(
             self, monkeypatch, capsys):
-        """No tree (no b-tree, buds included) has these degrees: listing
-        the members reads no word table."""
+        """No tree (no b-tree, buds included) has these degrees or leaf
+        counts: listing the members reads no word table."""
         def walk(*args, **kwargs):
             raise AssertionError("walked")
 
         monkeypatch.setattr(trees, "_btree_walk", walk)
         monkeypatch.setattr(trees, "_words_by_degrees", walk)
-        for fam in (ByDegrees((24,)), InternalRootedDeg((0, 2)), BTDeg(1, (0, 2))):
+        for fam in (ByDegrees((24,)), InternalRootedDeg((0, 2)), BTDeg(1, (0, 2)),
+                    ByLeaves(12, 20), LeafRooted(12, 20), InternalRooted(5, 1)):
             assert list(fam.members()) == [] and fam.count() == 0, fam
-        assert run(["enumerate", "--family", "by_degrees", "--degrees", "24",
-                    "--size-guard", "12"]) == 0
-        assert capsys.readouterr().out == ""
+        for flags in (["--family", "by_degrees", "--degrees", "24"],
+                      ["--family", "by_leaves", "--n", "12", "--k", "20"]):
+            assert run(["enumerate", *flags, "--size-guard", "12"]) == 0
+            assert capsys.readouterr().out == ""
 
     def test_descriptor_round_trip(self):
         for fam in (AllTrees(4), ByLeaves(5, 3), LeafRooted(5, 3),

@@ -68,8 +68,7 @@ ORACLE_SPECS = [
     (QPolynomial, (), [("coeffs", ())], {}),
     (QProductExpr, (), [("shift", 0), ("num", ()), ("den", ()),
                         ("scalar", Fraction(1))], {}),
-    (Theorem, (), [("family", NO_DEFAULT), ("feasible", NO_DEFAULT),
-                   ("qproduct", NO_DEFAULT)], {}),
+    (Theorem, (), [("family", NO_DEFAULT), ("qproduct", NO_DEFAULT)], {}),
     (CspInstance, (), [("theorem", NO_DEFAULT), ("params", NO_DEFAULT),
                        ("family", NO_DEFAULT), ("kind", NO_DEFAULT),
                        ("order", NO_DEFAULT), ("expr", NO_DEFAULT)], {}),
@@ -88,10 +87,6 @@ def oracle(cls, fields, options):
             for name, default in fields]
     return dataclasses.make_dataclass(cls.__name__, spec,
                                       **{"frozen": True, **options})
-
-
-def _feasible(f):
-    return f.n >= 1
 
 
 def _qproduct(f):
@@ -136,8 +131,7 @@ SAMPLES = {
     QPolynomial: [((1, 2, 0),), ((1, 2),), ((),)],
     QProductExpr: [(0, (2, 1), (1,), Fraction(1, 2)), (1,),
                    (0, [1, 2], (1,), 0.5)],
-    Theorem: [(AllTrees, _feasible, _qproduct), (NCM, _feasible, _qproduct),
-              (AllTrees, _feasible, _qproduct)],
+    Theorem: [(AllTrees, _qproduct), (NCM, _qproduct), (AllTrees, _qproduct)],
     CspInstance: [(ORD3.theorem, params, ORD3.family, ORD3.kind, ORD3.order,
                    ORD3.expr) for params in ({"n": 3}, {"n": 4})],
     VerificationReport: [("ord", {"n": 3}, [{"e": 0}], True, 0.5),
