@@ -38,6 +38,9 @@ ALL_EXPONENTS = "all"
 # Expansion costs time and memory that grow with the degree, which grows as
 # the square of the size; `polynomial()` refuses anything larger.
 MAX_POLY_DEGREE = 10_000
+# A q-product lists two to four q-integer indices per letter of a member's
+# word; `build_instance` refuses longer words before it builds one.
+MAX_QPRODUCT_WORD_LENGTH = 100_000
 
 
 class Theorem(_Value):
@@ -125,6 +128,10 @@ def build_instance(theorem: str, **params) -> CspInstance:
     spec = THEOREMS.get(theorem)
     if spec is None:
         raise InfeasibleParams(f"unknown theorem {theorem!r}")
+    names = _trees.family_fields(spec.family)
+    if params.keys() != set(names):
+        raise InfeasibleParams(f"{theorem} takes the parameters ({', '.join(names)}), "
+                               f"not ({', '.join(params)})")
     try:
         family = _trees.family_from_descriptor(
             {**params, "family": spec.family.name})
@@ -133,7 +140,13 @@ def build_instance(theorem: str, **params) -> CspInstance:
         order = family.order(family.kind)
         if order <= 0:
             raise ValueError(f"the rotation of {family} has order {order}")
+        if family.word_length > MAX_QPRODUCT_WORD_LENGTH:
+            raise SizeGuardExceeded(
+                f"{theorem} with {params}: words of {family} have {family.word_length} "
+                f"letters, above MAX_QPRODUCT_WORD_LENGTH = {MAX_QPRODUCT_WORD_LENGTH}")
         expr = spec.qproduct(family)
+    except SizeGuardExceeded:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise InfeasibleParams(f"{theorem} with {params}: {exc}") from exc
     return CspInstance(theorem, dict(params), family, family.kind, order, expr)

@@ -21,9 +21,9 @@ Hamiltonian cycle is checked, and moves its root edge, through the map word
 it reads from its root edge.
 
 The six map families implement the `trees.Family` protocol.  Each has one
-rotation (its `kind` is None) of order `word_length`, rotates a member
-with `rotate` and reads its period off its arc offsets.  Their closed forms
-are the two formulas of `trees`: `_btree_fix` for `BT` and for `NCM`, whose
+rotation (its `kind` is None) of the protocol's default order, the word
+length, and rotates a member with `rotate`.  Their closed forms are the
+two formulas of `trees`: `_btree_fix` for `BT` and for `NCM`, whose
 matchings have the words of the b-trees with no buds, and `_degrees_fix`
 for `BTDeg`.  The tree-rooted map families decouple into a b-tree family
 times a matching family, and their fixed points multiply accordingly; none
@@ -31,12 +31,13 @@ of them builds a family object to count.
 
 The b-tree and matching words all come from the one b-tree walk of
 `trees`, `_btree_walk`, which groups each finished word by (degree
-distribution, root degree) without parsing it.  The member lists read its
-word table, `_words_by_degrees`; the censuses of `BT`, `BTDeg` and `NCM`
-(at b = 0) are its census groups, summed over root degrees by
-`_btdeg_census_all`.  Only a `TMDeg` census enumerates maps; a `TMij`
-census sums its degree classes' and a `TMn` census its `TMij` parts', so
-each map is composed and rotated once per process.
+distribution, root degree) without parsing it.  The member lists of `BT`,
+`BTDeg` and `NCM` (n = j edges, no buds) are the protocol's, read off its
+word table; the censuses of `BT`, `BTDeg` and `NCM` (at b = 0) are its
+census groups, summed over root degrees by `_btdeg_census_all`.  Only a
+`TMDeg` census enumerates maps; a `TMij` census sums its degree classes'
+and a `TMn` census its `TMij` parts', so each map is composed and rotated
+once per process.
 """
 from __future__ import annotations
 
@@ -45,10 +46,9 @@ import json
 from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
-from .trees import (Family, _admitted_words, _btree_fix, _btree_walk,
-                    _check_sizes, _degrees_feasible, _degrees_fix,
-                    _normalize_degrees, _reroot, _TourWord, _Value,
-                    arc_offsets, catalan, cyclic_period, degree_solutions,
+from .trees import (Family, _btree_fix, _btree_walk, _check_sizes,
+                    _degrees_feasible, _degrees_fix, _normalize_degrees,
+                    _reroot, _TourWord, _Value, catalan, degree_solutions,
                     matching, period_census)
 
 
@@ -140,24 +140,16 @@ class TreeRootedMap(_TourWord):
 
 class _Maps(Family):
     """Map-side protocol: one rotation (`kind` None) whose order is the word
-    length.  A member's period is read off its arc offsets, and `rotate`
-    turns a member by a number of steps."""
+    length, and `rotate`, which turns a member by a number of steps."""
 
     kind = None
-
-    def order(self, kind=None) -> int:
-        return self.word_length
 
     def census(self, kind=None):
         return _map_period_census(self)
 
     def _census(self):
         """The census by enumeration, one literal rotation per member."""
-        return period_census(enumerate_maps(self), self.period, self.rotate)
-
-    def period(self, member) -> int:
-        """Least rotation power fixing the member."""
-        return cyclic_period(arc_offsets(member.word))
+        return period_census(enumerate_maps(self), self.order(), self.rotate)
 
     def rotate(self, member, steps: int):
         """The tree-rooted map rotation; b-trees and matchings override it."""
@@ -167,23 +159,13 @@ class _Maps(Family):
 class BT(_Maps, name="bt", guard=5):
     b: int
     n: int
+    member = BTreeWord
 
     def __post_init__(self):
         _check_sizes(self, "b", "n")
 
-    @property
-    def word_length(self) -> int:
-        return 2 * self.n + self.b
-
     def rotate(self, member, steps: int):
         return rotate_btree(member, steps)
-
-    admits = None  # every group of the word table
-
-    def members(self):
-        if self.feasible():
-            for w in _admitted_words(self.b, self.n, self.admits):
-                yield BTreeWord(w)
 
     def _census(self):
         """The one-walk b-tree census, summed over degree distributions."""
@@ -196,6 +178,7 @@ class BT(_Maps, name="bt", guard=5):
 class BTDeg(_Maps, name="bt_deg", guard=5):
     b: int
     degrees: tuple[int, ...]
+    member = BTreeWord
 
     def __init__(self, b: int, degrees):
         object.__setattr__(self, "b", b)
@@ -207,9 +190,7 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
         """Tree edge count: one less than the node count."""
         return sum(self.degrees) - 1
 
-    word_length = BT.word_length
     rotate = BT.rotate
-    members = BT.members
 
     def feasible(self) -> bool:
         # the empty list () counts no node, so no tree has it
@@ -325,19 +306,17 @@ class NCM(_Maps, name="ncm", guard=5):
     `rotate_ncm`, which the divisor-trial census test checks instead."""
 
     j: int
+    member = NonCrossingMatching
 
     def __post_init__(self):
         _check_sizes(self, "j")
 
     @property
-    def word_length(self) -> int:
-        return 2 * self.j
+    def n(self) -> int:
+        return self.j
 
     def rotate(self, member, steps: int):
         return rotate_ncm(member, steps)
-
-    def members(self):
-        yield from _ncm_list(self.j)
 
     def _census(self):
         """The b = 0 walk: a matching's word is a b-tree word with no buds,
@@ -350,7 +329,7 @@ class NCM(_Maps, name="ncm", guard=5):
 
 @functools.lru_cache(maxsize=None)
 def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
-    return tuple(map(NonCrossingMatching, _admitted_words(0, j)))
+    return tuple(NCM(j).members())
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:

@@ -6,7 +6,8 @@ arbitrary-precision integers and no floating point.  A q-product has two exact
 routes: `to_polynomial` expands it as q^shift * scalar * prod Phi_k^{m_k}, and
 `eval_expr_at_root` finds its value at a primitive d-th root of unity without
 expanding it, from the product taken in Z[q]/(q^d - 1) and reduced modulo
-Phi_d.  The two share only `phi_multiplicity`; `eval_at_primitive_root`
+Phi_d.  The two share no code; each counts the multiples of k among the
+indices for the multiplicity of Phi_k on its own.  `eval_at_primitive_root`
 reduces an expanded polynomial modulo Phi_d.
 """
 from __future__ import annotations
@@ -235,14 +236,17 @@ def to_polynomial(expr: QProductExpr) -> QPolynomial:
 
     A polynomial exactly when no m_k is negative; it then equals its power
     series cut off above its degree, the product of the (1 - q^e)^{E_e} that
-    make up the [a]_q = (1 - q^a)/(1 - q).  Multiplying by 1 - q^e subtracts
-    a shifted copy; dividing by it is a running sum over each class mod e.
+    make up the [a]_q = (1 - q^a)/(1 - q).  1 - q^e is the product of the
+    Phi_k with k | e, so m_k sums the net exponents E_e at the multiples of k
+    (none above the last E_e != 0).  Multiplying by 1 - q^e subtracts a
+    shifted copy; dividing by it is a running sum over each class mod e.
     """
-    for k in range(2, max(expr.num + expr.den, default=1) + 1):
-        if phi_multiplicity(expr, k) < 0:
-            raise NotPolynomial(f"Phi_{k} divides the denominator more often than the numerator")
     exponents = collections.Counter(expr.num)
     exponents.subtract(expr.den)
+    top = max((e for e, times in exponents.items() if times), default=1)
+    for k in range(2, top + 1):
+        if sum(exponents[e] for e in range(k, top + 1, k)) < 0:
+            raise NotPolynomial(f"Phi_{k} divides the denominator more often than the numerator")
     exponents[1] += len(expr.den) - len(expr.num)
     size = expr.degree - expr.shift + 1
     cs = [1] + [0] * (size - 1)

@@ -82,17 +82,10 @@ def _period_census(family: trees.Family,
                    kind: RotationKind) -> tuple[tuple[int, int], ...]:
     """((period, member count), ...) over the family; periods divide the order.
 
-    A member's ordinary period P is the period of its arc-offset string.  The
-    kind's `order` eligible corners repeat with it, so the least power of the
-    restricted rotation fixing the member is order * P / 2n.
+    The kind's `order` eligible corners repeat with a member's word, so
+    `trees.period_census` scales its ordinary period to the kind's.
     """
-    order = family.order(kind)
-    size = 2 * family.n
-
-    def period(t: PlaneTree) -> int:
-        return order * trees.cyclic_period(trees.arc_offsets(t.word)) // size if size else 1
-
-    return trees.period_census(trees.enumerate_family(family), period,
+    return trees.period_census(trees.enumerate_family(family), family.order(kind),
                                lambda t, p: rotate(t, kind, p))
 
 

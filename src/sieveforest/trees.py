@@ -253,15 +253,18 @@ def cyclic_period(symbols: str | bytes | bytearray) -> int:
     return (symbols + symbols).find(symbols, 1) if symbols else 1
 
 
-def period_census(members, period, rotate) -> tuple[tuple[int, int], ...]:
-    """((period, member count), ...) sorted by period.
-
-    `period(m)` reads a member's least fixing rotation power off its arc
-    offsets; `rotate(m, p) == m` confirms it by one literal rotation.
+def period_census(members, order, rotate) -> tuple[tuple[int, int], ...]:
+    """((period, member count), ...) sorted by period, under a rotation of
+    order `order` whose eligible corners repeat with each member's word:
+    order * P / L, P the cyclic period of its arc offsets and L its length
+    (1 for the empty word).  `rotate(m, p) == m` confirms each period by
+    one literal rotation, at p = order too, which checks the order against
+    the member's own corners.
     """
     counts: dict[int, int] = {}
     for m in members:
-        p = period(m)
+        size = len(m.word)
+        p = order * cyclic_period(arc_offsets(m.word)) // size if size else 1
         if rotate(m, p) != m:
             raise AssertionError(f"{m} is not fixed by its period {p}")
         counts[p] = counts.get(p, 0) + 1
@@ -551,17 +554,19 @@ class Family(_Value):
       members()     every member once, in a fixed order, by enumeration;
       kind          the rotation its theorem uses (None for map families,
                     which have one rotation);
-      order(kind)   the order of that rotation;
+      order(kind)   the order of that rotation (the word length by default);
       census(kind)  ((period, member count), ...) by enumeration: the
                     least rotation power fixing each member;
       fix_closed(d) from a formula, the members fixed by a rotation power
                     of order d, for every d dividing the order;
       count()       the number of members: fix_closed(1).
 
-    The plane-tree families and `BTDeg` list as members the groups of the
-    word table `_words_by_degrees(b, n)` whose key, a degree distribution
-    (buds included) and a root degree, the family `admits(degrees, root_degree)`;
-    a family that is not `feasible()` reads no word table.
+    By default a member is a b-tree word of `word_length` = 2n + b letters
+    (no buds unless `b` says so), and `members()` lists, in word order and
+    wrapped in the `member` class, the groups of the word table
+    `_words_by_degrees(b, n)` whose key (degree distribution with buds, root
+    degree) the family `admits` (every group if it is None); none, and no
+    table read, unless `feasible()`.
 
     Two formulas serve most families: `_btree_fix` (b-trees by size; plane
     trees and non-crossing matchings are the b-trees with no buds) and
@@ -570,6 +575,9 @@ class Family(_Value):
     """
 
     guard_limit = 10
+    b = 0           # buds in each member's word
+    admits = None   # the word-table groups listed; None for all of them
+    member = PlaneTree
 
     def __init_subclass__(cls, name: "str | None" = None,
                           guard: "int | None" = None, **kwargs):
@@ -583,10 +591,18 @@ class Family(_Value):
     @property
     def word_length(self) -> int:
         """Letters in each member's word: the depth of the b-tree walk."""
-        return 2 * self.n
+        return 2 * self.n + self.b
 
     def feasible(self) -> bool:
         return True
+
+    def members(self):
+        if self.feasible():
+            for word in _admitted_words(self.b, self.n, self.admits):
+                yield self.member(word)
+
+    def order(self, kind=None) -> int:
+        return self.word_length
 
     def count(self) -> int:
         return self.fix_closed(1)
@@ -620,13 +636,6 @@ class _PlaneTrees(Family):
 
     kind = ORDINARY
 
-    def members(self):
-        """In lexicographic word order; none, and no word table read, for
-        a family that is not `feasible()`."""
-        if self.feasible():
-            for word in _admitted_words(0, self.n, self.admits):
-                yield PlaneTree(word)
-
     def census(self, kind: RotationKind):
         from . import rotations  # which imports this module
         return rotations._period_census(self, kind)
@@ -635,7 +644,7 @@ class _PlaneTrees(Family):
         """2n for the ordinary rotation, which acts on any word; else the
         number of corners the kind visits, which is the same in every member."""
         if kind.name == "ordinary":
-            return 2 * self.n
+            return super().order(kind)
         if kind != self.kind and not (kind == LEAF and self.kind == degree_kind(1)):
             raise IncompatibleKind(f"{kind} does not act on {self}")
         if kind.name == "degree":

@@ -133,6 +133,30 @@ def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
         maps._btdeg_census_all.cache_clear()
 
 
+def test_tree_census_confirms_every_period(monkeypatch):
+    """A plane-tree census rests on its literal rotation: one that gives
+    back another tree fails it."""
+    rotations._period_census.cache_clear()
+    monkeypatch.setattr(rotations, "rotate", lambda t, kind, steps: PlaneTree())
+    try:
+        with pytest.raises(AssertionError):
+            rotations._period_census(AllTrees(3), ORDINARY)
+    finally:
+        rotations._period_census.cache_clear()
+
+
+def test_map_census_confirms_every_period(monkeypatch):
+    """A map census rests on its literal rotation: one that gives back
+    another map fails it."""
+    maps._map_period_census.cache_clear()
+    monkeypatch.setattr(maps, "rotate_map", lambda mp, steps: maps.TreeRootedMap())
+    try:
+        with pytest.raises(AssertionError):
+            maps._map_period_census(TMDeg(1, (1, 1, 1)))
+    finally:
+        maps._map_period_census.cache_clear()
+
+
 def offset_census(words):
     counts = {}
     for w in words:

@@ -320,6 +320,37 @@ def test_count_prints_any_integer():
     assert out.strip().isdigit() and len(out.strip()) == 4811
 
 
+def test_poly_whose_factors_cancel_is_not_quadratic():
+    # [b]_q! / [b]_q! at b = 100,000: every index cancels, leaving 1
+    proc = run_cli_process(["poly", "--theorem", "btij", "--b", "100000", "--n", "0"],
+                           stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert out == b"1\n"
+
+
+def _cap_address_space():
+    import resource
+    limit = 1_500_000 * 1024  # as `ulimit -v 1500000`
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps RLIMIT_AS")
+@pytest.mark.parametrize("argv", [
+    ["poly", "--theorem", "ord", "--n", "300000000"],
+    ["poly", "--theorem", "btij", "--b", "300000000", "--n", "0"],
+    ["sumcheck", "--identity", "refined_leaves", "--n", "300000000"]])
+def test_huge_qproduct_is_refused_before_it_is_built(argv):
+    """Each q-product would list 10^8 indices or more: refused by its word
+    length, a usage error, inside a capped address space."""
+    proc = run_cli_process(argv, stdout=subprocess.PIPE,
+                           preexec_fn=_cap_address_space)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and out == b"", err
+    assert b"Traceback" not in err
+    assert b"MAX_QPRODUCT_WORD_LENGTH = 100000" in err
+
+
 INT_FLAGS = ("--n", "--k", "--delta", "--i", "--j", "--b")
 
 

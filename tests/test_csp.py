@@ -125,6 +125,25 @@ class TestBuildInstance:
             with pytest.raises(InfeasibleParams):
                 build_instance(theorem, **params)
 
+    def test_parameters_are_the_family_fields(self):
+        for params in ({}, {"n": 3, "k": 2}, {"k": 2}):
+            with pytest.raises(InfeasibleParams, match=r"takes the parameters \(n\)"):
+                build_instance("ord", **params)
+        with pytest.raises(InfeasibleParams, match=r"\(n, k\), not \(n\)"):
+            build_instance("ord_leaves", n=4)
+
+    def test_word_length_bound_is_a_size_guard(self):
+        """Refused before the q-product is built, and not as out of range."""
+        limit = csp.MAX_QPRODUCT_WORD_LENGTH
+        assert build_instance("btij", b=limit, n=0).expr.degree == 0
+        for theorem, params in [("btij", dict(b=limit + 1, n=0)),
+                                ("ord", dict(n=limit // 2 + 1)),
+                                ("tmn", dict(n=10 ** 9))]:
+            # a size guard, not wrapped as an InfeasibleParams
+            with pytest.raises(csp.SizeGuardExceeded,
+                               match=f"MAX_QPRODUCT_WORD_LENGTH = {limit}"):
+                build_instance(theorem, **params)
+
     def test_range_is_the_reference_ranges(self):
         """A theorem is built exactly where its reference range holds, with
         the order of its family's rotation."""
