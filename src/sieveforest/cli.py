@@ -95,6 +95,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     family = _build_family(args)
+    csp.check_word_length(family)
     count = family.count()
     _emit(args, [str(count)], {"family": family.descriptor(), "count": count})
     return 0

@@ -39,8 +39,19 @@ ALL_EXPONENTS = "all"
 # the square of the size; `polynomial()` refuses anything larger.
 MAX_POLY_DEGREE = 10_000
 # A q-product lists two to four q-integer indices per letter of a member's
-# word; `build_instance` refuses longer words before it builds one.
+# word, and a closed form multiplies binomials of about as many digits;
+# `build_instance` and `count` refuse longer words before either is
+# evaluated (`check_word_length`).
 MAX_QPRODUCT_WORD_LENGTH = 100_000
+
+
+def check_word_length(family) -> None:
+    """Refuse a family whose words have more than MAX_QPRODUCT_WORD_LENGTH
+    letters."""
+    if family.word_length > MAX_QPRODUCT_WORD_LENGTH:
+        raise SizeGuardExceeded(
+            f"words of {family} have {family.word_length} letters, above "
+            f"MAX_QPRODUCT_WORD_LENGTH = {MAX_QPRODUCT_WORD_LENGTH}")
 
 
 class Theorem(_Value):
@@ -140,13 +151,10 @@ def build_instance(theorem: str, **params) -> CspInstance:
         order = family.order(family.kind)
         if order <= 0:
             raise ValueError(f"the rotation of {family} has order {order}")
-        if family.word_length > MAX_QPRODUCT_WORD_LENGTH:
-            raise SizeGuardExceeded(
-                f"{theorem} with {params}: words of {family} have {family.word_length} "
-                f"letters, above MAX_QPRODUCT_WORD_LENGTH = {MAX_QPRODUCT_WORD_LENGTH}")
+        check_word_length(family)
         expr = spec.qproduct(family)
-    except SizeGuardExceeded:
-        raise
+    except SizeGuardExceeded as exc:
+        raise SizeGuardExceeded(f"{theorem} with {params}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise InfeasibleParams(f"{theorem} with {params}: {exc}") from exc
     return CspInstance(theorem, dict(params), family, family.kind, order, expr)
@@ -256,21 +264,25 @@ def check_sum_identity(which: str, n: int) -> bool:
     """Exact polynomial identity between refined and unrefined instances.
 
     The unrefined side is expanded first: no term has a higher degree, so a
-    degree above MAX_POLY_DEGREE is refused before any work is done."""
-    if which == REFINED_LEAVES:
-        if n < 2:
-            raise InfeasibleParams("refined leaf identity needs n >= 2")
-        target = build_instance("ord", n=n).polynomial()
-        terms = [(build_instance("ord_leaves", n=n, k=k).expr, k * (k - 2))
-                 for k in range(2, n + 1)]
-    elif which == CHU_VANDERMONDE_TM:
-        if n < 1:
-            raise InfeasibleParams("need n >= 1")
-        target = build_instance("tmn", n=n).polynomial()
-        terms = [(build_instance("tmij", i=i, j=n - i).expr, (n + 1 - i) * (n - i))
-                 for i in range(n + 1)]
-    else:
-        raise ValueError(f"unknown identity {which!r}")
+    degree above MAX_POLY_DEGREE is refused before any work is done.  A
+    refusal names the identity and its n."""
+    try:
+        if which == REFINED_LEAVES:
+            if n < 2:
+                raise InfeasibleParams("needs n >= 2")
+            target = build_instance("ord", n=n).polynomial()
+            terms = [(build_instance("ord_leaves", n=n, k=k).expr, k * (k - 2))
+                     for k in range(2, n + 1)]
+        elif which == CHU_VANDERMONDE_TM:
+            if n < 1:
+                raise InfeasibleParams("needs n >= 1")
+            target = build_instance("tmn", n=n).polynomial()
+            terms = [(build_instance("tmij", i=i, j=n - i).expr, (n + 1 - i) * (n - i))
+                     for i in range(n + 1)]
+        else:
+            raise ValueError(f"unknown identity {which!r}")
+    except (InfeasibleParams, SizeGuardExceeded) as exc:
+        raise type(exc)(f"{which} with n = {n}: {exc}") from exc
     total = QPolynomial(())
     for expr, shift in terms:
         total = total + to_polynomial(QProductExpr(

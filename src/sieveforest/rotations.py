@@ -82,11 +82,18 @@ def _period_census(family: trees.Family,
                    kind: RotationKind) -> tuple[tuple[int, int], ...]:
     """((period, member count), ...) over the family; periods divide the order.
 
-    The kind's `order` eligible corners repeat with a member's word, so
-    `trees.period_census` scales its ordinary period to the kind's.
+    The members are listed by `trees.enumerate_family`, and each one's
+    ordinary period P is read from the plane-tree word table's groups that
+    the family admits (none unless it is feasible), which list the same
+    words in the same order; a member that is not the table's word at its
+    place, or a count that differs, fails the census.  The kind's `order`
+    eligible corners repeat with a member's word, so `trees.period_census`
+    scales P to the kind's period and confirms it by one literal `rotate`.
     """
+    table = (trees._admitted(0, family.n, family.admits) if family.feasible()
+             else ((), ()))
     return trees.period_census(trees.enumerate_family(family), family.order(kind),
-                               lambda t, p: rotate(t, kind, p))
+                               lambda t, p: rotate(t, kind, p), table)
 
 
 def fix_count_bruteforce(query: FixQuery) -> int:

@@ -13,7 +13,8 @@ period key by `arc_offsets`), one re-rooting (`_reroot`, behind
 `shift_root` here and every rotation of `maps`), the node readers
 `node_degrees` and `corner_nodes`, and the one walk over b-tree words
 (`_btree_walk`), which groups them by (degree distribution, root degree)
-into the word table of every member list or into a period census.  It also
+into the word table of every member list, each word next to the period
+the plane-tree censuses read, or into a period census.  It also
 provides the rotation kinds (`RotationKind`: which corners a rotation
 visits), the `Family` protocol that every family of the package implements
 with the two closed-form formulas most families share (b-trees by size and
@@ -33,7 +34,6 @@ acting on it, and its counts all follow from these two.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from fractions import Fraction
 from math import comb
@@ -253,22 +253,43 @@ def cyclic_period(symbols: str | bytes | bytearray) -> int:
     return (symbols + symbols).find(symbols, 1) if symbols else 1
 
 
-def period_census(members, order, rotate) -> tuple[tuple[int, int], ...]:
+def period_census(members, order, rotate,
+                  table=None) -> tuple[tuple[int, int], ...]:
     """((period, member count), ...) sorted by period, under a rotation of
     order `order` whose eligible corners repeat with each member's word:
     order * P / L, P the cyclic period of its arc offsets and L its length
-    (1 for the empty word).  `rotate(m, p) == m` confirms each period by
-    one literal rotation, at p = order too, which checks the order against
-    the member's own corners.
+    (1 for the empty word).  With `table`, the (words, periods) of the
+    members' word table, each P is read from it instead of from the word,
+    and the members must be the table's words, in its order.
+    `rotate(m, p) == m` confirms each period by one literal rotation, at
+    p = order too, which checks the order against the member's own corners.
     """
+    if table is None:
+        pairs = ((m, cyclic_period(arc_offsets(m.word))) for m in members)
+    else:
+        pairs = _paired(members, *table)
     counts: dict[int, int] = {}
-    for m in members:
+    for m, period in pairs:
         size = len(m.word)
-        p = order * cyclic_period(arc_offsets(m.word)) // size if size else 1
+        p = order * period // size if size else 1
         if rotate(m, p) != m:
             raise AssertionError(f"{m} is not fixed by its period {p}")
         counts[p] = counts.get(p, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def _paired(members, words, periods):
+    """Each member with the period of its word in the table (words,
+    periods); fails unless the members are those words, in order."""
+    members = iter(members)
+    for word, period in zip(words, periods):
+        m = next(members, None)
+        if m is None or m.word != word:
+            raise AssertionError(f"member {m} is listed where the word table has {word}")
+        yield m, period
+    m = next(members, None)
+    if m is not None:
+        raise AssertionError(f"member {m} is listed past the end of its word table")
 
 
 def shift_root(word: str, steps: int) -> str:
@@ -338,22 +359,62 @@ def degree_distribution(degree: list[int]) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def _btree_walk(b: int, n: int, census: bool) -> dict[tuple, tuple]:
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, smallest first."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + [m] if m > 1 else out
+
+
+def _may_repeat(dist: list[int], size: int) -> bool:
+    """Whether a b-tree word of `size` letters whose nodes have the degree
+    counts `dist` can have a cyclic period below its length.
+
+    A period p < L re-roots the tree onto itself by m = L / p > 1 steps.
+    No power of that rotation below m fixes a corner, so it fixes at most
+    one node, and every other node lies in an orbit of m nodes of one
+    degree.  For a prime q dividing m, and so L, every degree count but
+    at most one is then a multiple of q, and that one is 1 mod q.  The
+    empty word may: its period, 1, is not its length.
+    """
+    if not size:
+        return True
+    for q in _prime_factors(size):
+        if [c % q for c in dist if c % q] in ([], [1]):
+            return True
+    return False
+
+
+def _btree_walk(b: int, n: int, census: bool):
     """The b-tree words with n edges and b buds (with no buds, the plane-tree
     words) grouped by (degree distribution, root degree), buds counted in a
-    node's degree: each group's words in lexicographic order ('(' < ')' <
-    'b'), or with `census` its ((period, count), ...) sorted by period.
+    node's degree.  With `census`, each group's ((period, count), ...)
+    sorted by period.  Without, the word table `(groups, order)`: each
+    group's words in lexicographic order ('(' < ')' < 'b') next to the
+    cyclic period P of each word's arc offsets (a bytearray below 256
+    letters, else a list), and `order` the list of each word's group index
+    in `groups`, in the walk's order, which is word order.
 
     The walk builds the words in order and carries, for the prefix, the
     node degrees, how many nodes have each degree, and the arc offsets of
     `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
-    and L - (i - j) at i; a bud is 0.  A finished word is not parsed again.
-    A period p below the length L is confirmed by one literal re-rooting of
-    the word; re-rooting by the whole tour is the identity, so p = L needs
-    none.
+    and L - (i - j) at i; a bud is 0.  A finished word is not parsed again:
+    its period is read off the offsets, in the table only in the groups
+    whose degree counts allow a period below L (`_may_repeat`); in the
+    others it is L.  In a census, a period p below the length L is
+    confirmed by one literal re-rooting of the word; re-rooting by the
+    whole tour is the identity, so p = L needs none.  The table's periods
+    are confirmed by its reader (`rotations._period_census` rotates every
+    member once).
     """
     if b < 0 or n < 0:
-        return {}
+        return {} if census else ({}, [])
     size = 2 * n + b
     letters = [""] * size
     # Node k >= 1 is the k-th node reached, below the k-th '('.
@@ -369,7 +430,8 @@ def _btree_walk(b: int, n: int, census: bool) -> dict[tuple, tuple]:
     offsets = bytearray(size) if size < 256 else [0] * size
     period = cyclic_period if size < 256 else (
         lambda o: cyclic_period("".join(map(chr, o))))
-    groups: dict[tuple, dict[int, int] | list[str]] = {}
+    groups: dict[tuple, dict[int, int] | tuple] = {}
+    order: list[int] = []
 
     def walk(i: int, opens: int, buds: int, node: int) -> None:
         """Extend the prefix of length i, which stands at `node`."""
@@ -382,16 +444,23 @@ def _btree_walk(b: int, n: int, census: bool) -> dict[tuple, tuple]:
                 node = parent[node]
                 i += 1
             key = (tuple(dist), degree[0])
-            if not census:
-                groups.setdefault(key, []).append("".join(letters))
+            if census:
+                p = period(offsets)
+                if p < size:
+                    word = "".join(letters)
+                    if _reroot(word, -p) != word:
+                        raise AssertionError(f"{word} is not fixed by its period {p}")
+                counts = groups.setdefault(key, {})
+                counts[p] = counts.get(p, 0) + 1
                 return
-            p = period(offsets)
-            if p < size:
-                word = "".join(letters)
-                if _reroot(word, -p) != word:
-                    raise AssertionError(f"{word} is not fixed by its period {p}")
-            counts = groups.setdefault(key, {})
-            counts[p] = counts.get(p, 0) + 1
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (len(groups), [],
+                                       bytearray() if size < 256 else [],
+                                       _may_repeat(dist, size))
+            order.append(group[0])
+            group[1].append("".join(letters))
+            group[2].append(period(offsets) if group[3] else size)
             return
         if opens < n:
             child = opens + 1
@@ -428,25 +497,44 @@ def _btree_walk(b: int, n: int, census: bool) -> dict[tuple, tuple]:
             dist[d + 1] -= 1
 
     walk(0, 0, 0, 0)
-    return {(_normalize_degrees(counts[1:]), root):
-            tuple(sorted(group.items())) if census else tuple(group)
-            for (counts, root), group in groups.items()}
+    # `walk` refers to itself: unbound, its working lists go now, not when
+    # the cyclic collector next runs
+    walk = None
+    if census:
+        return {(_normalize_degrees(counts[1:]), root): tuple(sorted(group.items()))
+                for (counts, root), group in groups.items()}
+    return ({(_normalize_degrees(counts[1:]), root): (tuple(words), periods)
+             for (counts, root), (_, words, periods, _) in groups.items()}, order)
 
 
 @functools.lru_cache(maxsize=None)
-def _words_by_degrees(b: int, n: int) -> dict[tuple, tuple[str, ...]]:
-    """The word table: the words of the b-tree walk, grouped by (degree
-    distribution, root degree), each group in word order."""
+def _words_by_degrees(b: int, n: int) -> tuple[dict, list[int]]:
+    """The word table of the b-tree walk: ({(degree distribution, root
+    degree): (words, periods)}, order), each group in word order."""
     return _btree_walk(b, n, census=False)
 
 
-def _admitted_words(b: int, n: int, admits=None) -> tuple[str, ...] | list[str]:
-    """The words of the groups of `_words_by_degrees(b, n)` whose key
-    (degrees, root_degree) `admits` (all of them by default), merged back
-    into word order."""
-    groups = [words for key, words in _words_by_degrees(b, n).items()
-              if admits is None or admits(*key)]
-    return groups[0] if len(groups) == 1 else sorted(itertools.chain(*groups))
+def _admitted(b: int, n: int, admits=None):
+    """(words, periods): the words of the groups of the word table
+    `_words_by_degrees(b, n)` whose key (degrees, root_degree) `admits`
+    (all of them by default), merged back into word order, and the period
+    of each word in the same order.
+
+    One admitted group is read as it is.  Several are merged by the walk's
+    own order of groups, from which the others are dropped first, so no
+    word is compared or sorted; with every group admitted, that order is
+    read as it is."""
+    groups, order = _words_by_degrees(b, n)
+    picked = [admits is None or admits(*key) for key in groups]
+    rows = list(groups.values())
+    if picked.count(True) == 1:
+        return rows[picked.index(True)]
+    if not all(picked):
+        order = [g for g in order if picked[g]]
+    words = [iter(words) for words, _ in rows]
+    periods = [iter(periods) for _, periods in rows]
+    return (map(next, map(words.__getitem__, order)),
+            map(next, map(periods.__getitem__, order)))
 
 
 def stats(tree: PlaneTree) -> TreeStats:
@@ -598,7 +686,8 @@ class Family(_Value):
 
     def members(self):
         if self.feasible():
-            for word in _admitted_words(self.b, self.n, self.admits):
+            words, _ = _admitted(self.b, self.n, self.admits)
+            for word in words:
                 yield self.member(word)
 
     def order(self, kind=None) -> int:
@@ -668,8 +757,10 @@ class AllTrees(_PlaneTrees, name="all_trees"):
 
     def members(self):
         # a `stats` scan of every word, all admitted, kept only because the
-        # benchmark's self-test pins the scanned count (ROADMAP item 1)
-        for word in _admitted_words(0, self.n):
+        # benchmark's self-test pins the scanned count (ROADMAP item 1); the
+        # words are the table's, in its order, as the census pairs them
+        words, _ = _admitted(0, self.n)
+        for word in words:
             t = PlaneTree(word)
             st = stats(t)
             if self.admits(st.degrees, st.root_degree):

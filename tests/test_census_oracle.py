@@ -4,6 +4,8 @@ The oracle below tries every divisor of the rotation order, smallest first,
 with a literal rotation; the census under test reads each period off the arc
 offsets and rotates once to confirm it.
 """
+import gc
+
 import pytest
 
 from sieveforest import maps, rotations, trees
@@ -181,12 +183,84 @@ def test_btree_walk_carries_its_degree_distribution():
 
 def test_word_table_matches_the_reference():
     """Every group of the word table, in word order, at every length up to
-    10; a negative size has no words."""
+    10, and the walk's order of groups, which merges them back into word
+    order; a negative size has no words."""
     for size in range(11):
         for b in range(size % 2, size + 1, 2):
-            assert trees._words_by_degrees(b, (size - b) // 2) == \
-                reference_table(b, (size - b) // 2), (b, size)
-    assert trees._words_by_degrees(2, -1) == trees._words_by_degrees(-1, 2) == {}
+            n = (size - b) // 2
+            groups, _ = trees._words_by_degrees(b, n)
+            assert {key: words for key, (words, _) in groups.items()} == \
+                reference_table(b, n), (b, size)
+            words, periods = trees._admitted(b, n)
+            assert tuple(words) == reference_words(b, n), (b, size)
+    assert trees._words_by_degrees(2, -1) == trees._words_by_degrees(-1, 2) == ({}, [])
+
+
+def test_word_table_records_each_word_period():
+    """Next to each word the table keeps the period of its arc offsets, at
+    every length up to 12, searched for only in the groups whose degree
+    counts allow a period below the length, and past 255 letters, where a
+    period no longer fits in a byte."""
+    for size in range(13):
+        for b in range(size % 2, size + 1, 2):
+            groups, _ = trees._words_by_degrees(b, (size - b) // 2)
+            for words, periods in groups.values():
+                assert list(periods) == [trees.cyclic_period(trees.arc_offsets(w))
+                                         for w in words], (b, size)
+    groups, _ = trees._btree_walk(254, 1, census=False)  # 256 letters
+    recorded = {}
+    for words, periods in groups.values():
+        assert len(words) == len(periods)
+        for w, p in zip(words, periods):
+            assert p == trees.cyclic_period(trees.arc_offsets(w)), w
+            recorded[p] = recorded.get(p, 0) + 1
+    # the edge splits the 254 buds evenly only when its ends are 128 apart
+    assert recorded == {128: 128, 256: 32640 - 128}
+
+
+def test_any_admitted_groups_merge_into_word_order():
+    """Any set of a table's groups merges back into word order, each word
+    with its period, also among many groups (272 at two edges and 30 buds)."""
+    for b, n in ((0, 7), (2, 4), (30, 2)):
+        groups, _ = trees._words_by_degrees(b, n)
+        every = list(zip(*trees._admitted(b, n)))
+        key_of = {w: key for key, (words, _) in groups.items() for w in words}
+        assert [w for w, _ in every] == sorted(key_of)
+        keys = list(groups)
+        for chosen in map(set, (keys[::3], keys[1::2], keys[:1], [])):
+            admitted = trees._admitted(b, n, lambda *key: key in chosen)
+            assert list(zip(*admitted)) == \
+                [(w, p) for w, p in every if key_of[w] in chosen], (b, n)
+
+
+def test_tree_census_fails_unless_the_members_are_the_table_words(monkeypatch):
+    """Each member is paired with the period the table records for the word
+    at its place: members out of the table's order, one too many or one too
+    few fail the census."""
+    listed = list(enumerate_family(AllTrees(3)))
+    swapped = [listed[1], listed[0]] + listed[2:]
+    try:
+        for members in (swapped, listed + [listed[0]], listed[:-1]):
+            rotations._period_census.cache_clear()
+            monkeypatch.setattr(trees, "enumerate_family",
+                                lambda family, members=members: iter(members))
+            with pytest.raises(AssertionError, match="word table"):
+                rotations._period_census(AllTrees(3), ORDINARY)
+    finally:
+        rotations._period_census.cache_clear()
+
+
+def test_btree_walk_leaves_nothing_to_the_cyclic_collector():
+    """The walk refers to itself; its working lists must still go when it
+    returns, not when the cyclic collector next runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        trees._btree_walk(0, 6, census=False)
+        trees._btree_walk(2, 4, census=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_btree_walk_past_255_letters_matches_closed_form():

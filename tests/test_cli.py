@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sieveforest import csp
+from sieveforest import csp, trees
 from sieveforest.cli import FAMILY_NAMES, run
 from sieveforest.csp import THEOREM_IDS, THEOREMS
 from sieveforest.trees import FAMILIES, family_fields
@@ -53,6 +53,23 @@ class TestCount:
     def test_tm_n(self, capsys):
         code, out, _ = capture(capsys, ["count", "--family", "tm_n", "--n", "2"])
         assert code == 0 and out.strip() == "10"
+
+    def test_words_past_the_qproduct_limit_are_refused(self, capsys, monkeypatch):
+        """Refused by word length before the closed form is evaluated: a
+        usage error that names the limit.  At the limit the count runs."""
+        code, out, _ = capture(capsys, ["count", "--family", "bt",
+                                        "--b", "100000", "--n", "0"])
+        assert code == 0 and out == "1\n"
+
+        def count(family):
+            raise AssertionError(f"{family} was counted")
+
+        monkeypatch.setattr(trees.Family, "count", count)
+        for argv in (["all_trees", "--n", "1000000"], ["bt", "--b", "100001", "--n", "0"],
+                     ["tm_n", "--n", "50001"], ["by_degrees", "--degrees", "50002,0,50000"]):
+            code, out, err = capture(capsys, ["count", "--family", *argv])
+            assert code == 2 and out == "", argv
+            assert "above MAX_QPRODUCT_WORD_LENGTH = 100000" in err, argv
 
     def test_degrees_flag(self, capsys):
         code, out, _ = capture(capsys, ["count", "--family", "by_degrees",
@@ -162,6 +179,13 @@ class TestSumcheck:
         code, out, _ = capture(capsys, ["sumcheck", "--identity",
                                         "refined_leaves", "--n", "4"])
         assert code == 0 and out.strip() == "PASS"
+
+    def test_refusal_names_the_identity_and_its_n(self, capsys):
+        code, out, err = capture(capsys, ["sumcheck", "--identity",
+                                          "refined_leaves", "--n", "300000000"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: refined_leaves with n = 300000000: ")
+        assert "above MAX_QPRODUCT_WORD_LENGTH = 100000" in err
 
 
 class TestUsageErrors:

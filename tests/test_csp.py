@@ -323,3 +323,13 @@ class TestSumIdentities:
     def test_refined_needs_n_at_least_two(self):
         with pytest.raises(InfeasibleParams):
             check_sum_identity(REFINED_LEAVES, 1)
+
+    def test_refusals_name_the_identity_and_its_n(self):
+        for which, n, error, reason in (
+                (REFINED_LEAVES, 1, InfeasibleParams, "needs n >= 2"),
+                (CHU_VANDERMONDE_TM, 0, InfeasibleParams, "needs n >= 1"),
+                (CHU_VANDERMONDE_TM, 300, SizeGuardExceeded, "MAX_POLY_DEGREE"),
+                (REFINED_LEAVES, 300_000_000, SizeGuardExceeded,
+                 "MAX_QPRODUCT_WORD_LENGTH")):
+            with pytest.raises(error, match=f"^{which} with n = {n}: .*{reason}"):
+                check_sum_identity(which, n)
