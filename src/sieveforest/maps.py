@@ -33,8 +33,9 @@ The b-tree and matching words all come from the one b-tree walk of
 `trees`, `_btree_walk`, which groups each finished word by (degree
 distribution, root degree) without parsing it.  The member lists of `BT`,
 `BTDeg` and `NCM` (n = j edges, no buds) are the protocol's, read off its
-word table; the censuses of `BT`, `BTDeg` and `NCM` (at b = 0) are its
-census groups, summed over root degrees by `_btdeg_census_all`.  Only a
+word table; the censuses of `BT`, `BTDeg` and `NCM` (at b = 0) count
+the periods of a walk that keeps no words, over the root-degree groups
+of each degree distribution (`_btdeg_census_all`).  Only a
 `TMDeg` census enumerates maps; a `TMij` census sums its degree classes'
 and a `TMn` census its `TMij` parts', so each map is composed and rotated
 once per process.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
@@ -401,12 +403,14 @@ def closed_count_maps(family) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _btdeg_census_all(b: int, n: int) -> dict:
-    """Period census of BT(b, n) grouped by degree distribution: the census
-    of the one b-tree walk, `trees._btree_walk`, summed over root degrees."""
-    by_degrees: dict[tuple[int, ...], list] = {}
-    for (degrees, _), census in _btree_walk(b, n, census=True).items():
-        by_degrees.setdefault(degrees, []).append(census)
-    return {degrees: _summed_census(parts) for degrees, parts in by_degrees.items()}
+    """Period census of BT(b, n) grouped by degree distribution: the periods
+    of one b-tree walk, `trees._btree_walk`, that keeps no words, counted
+    over the root-degree groups of each distribution."""
+    by_degrees: dict[tuple[int, ...], Counter] = {}
+    for (degrees, _), (_, periods) in _btree_walk(b, n, words=False)[0].items():
+        by_degrees.setdefault(degrees, Counter()).update(periods)
+    return {degrees: tuple(sorted(counts.items()))
+            for degrees, counts in by_degrees.items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:

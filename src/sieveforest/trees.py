@@ -13,8 +13,9 @@ period key by `arc_offsets`), one re-rooting (`_reroot`, behind
 `shift_root` here and every rotation of `maps`), the node readers
 `node_degrees` and `corner_nodes`, and the one walk over b-tree words
 (`_btree_walk`), which groups them by (degree distribution, root degree)
-into the word table of every member list, each word next to the period
-the plane-tree censuses read, or into a period census.  It also
+and gives each its period, confirmed by a literal re-rooting where it is
+below the length: with the words, the word table of every member list and
+plane-tree census; without them, the periods of the b-tree census.  It also
 provides the rotation kinds (`RotationKind`: which corners a rotation
 visits), the `Family` protocol that every family of the package implements
 with the two closed-form formulas most families share (b-trees by size and
@@ -260,7 +261,8 @@ def period_census(members, order, rotate,
     order * P / L, P the cyclic period of its arc offsets and L its length
     (1 for the empty word).  With `table`, the (words, periods) of the
     members' word table, each P is read from it instead of from the word,
-    and the members must be the table's words, in its order.
+    and the members must be the table's words, in its order (the walk has
+    already re-rooted each word whose P is below L).
     `rotate(m, p) == m` confirms each period by one literal rotation, at
     p = order too, which checks the order against the member's own corners.
     """
@@ -391,30 +393,27 @@ def _may_repeat(dist: list[int], size: int) -> bool:
     return False
 
 
-def _btree_walk(b: int, n: int, census: bool):
+def _btree_walk(b: int, n: int, words: bool = True):
     """The b-tree words with n edges and b buds (with no buds, the plane-tree
     words) grouped by (degree distribution, root degree), buds counted in a
-    node's degree.  With `census`, each group's ((period, count), ...)
-    sorted by period.  Without, the word table `(groups, order)`: each
-    group's words in lexicographic order ('(' < ')' < 'b') next to the
-    cyclic period P of each word's arc offsets (a bytearray below 256
-    letters, else a list), and `order` the list of each word's group index
-    in `groups`, in the walk's order, which is word order.
+    node's degree: `(groups, order)`, each group's words in lexicographic
+    order ('(' < ')' < 'b') next to the cyclic period P of each word's arc
+    offsets (a bytearray below 256 letters, else a list), and `order` the
+    list of each word's group index in `groups`, in the walk's order, which
+    is word order.  With `words` false (a period census), the groups keep
+    only their periods: every word tuple and `order` are empty.
 
     The walk builds the words in order and carries, for the prefix, the
     node degrees, how many nodes have each degree, and the arc offsets of
     `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
     and L - (i - j) at i; a bud is 0.  A finished word is not parsed again:
-    its period is read off the offsets, in the table only in the groups
-    whose degree counts allow a period below L (`_may_repeat`); in the
-    others it is L.  In a census, a period p below the length L is
-    confirmed by one literal re-rooting of the word; re-rooting by the
-    whole tour is the identity, so p = L needs none.  The table's periods
-    are confirmed by its reader (`rotations._period_census` rotates every
-    member once).
+    its period is read off the offsets, only in the groups whose degree
+    counts allow a period below L (`_may_repeat`); in the others it is L.
+    A period below L is confirmed by one literal re-rooting of the word;
+    re-rooting by the whole tour is the identity, so P = L needs none.
     """
     if b < 0 or n < 0:
-        return {} if census else ({}, [])
+        return {}, []
     size = 2 * n + b
     letters = [""] * size
     # Node k >= 1 is the k-th node reached, below the k-th '('.
@@ -430,7 +429,7 @@ def _btree_walk(b: int, n: int, census: bool):
     offsets = bytearray(size) if size < 256 else [0] * size
     period = cyclic_period if size < 256 else (
         lambda o: cyclic_period("".join(map(chr, o))))
-    groups: dict[tuple, dict[int, int] | tuple] = {}
+    groups: dict[tuple, tuple] = {}
     order: list[int] = []
 
     def walk(i: int, opens: int, buds: int, node: int) -> None:
@@ -444,23 +443,20 @@ def _btree_walk(b: int, n: int, census: bool):
                 node = parent[node]
                 i += 1
             key = (tuple(dist), degree[0])
-            if census:
-                p = period(offsets)
-                if p < size:
-                    word = "".join(letters)
-                    if _reroot(word, -p) != word:
-                        raise AssertionError(f"{word} is not fixed by its period {p}")
-                counts = groups.setdefault(key, {})
-                counts[p] = counts.get(p, 0) + 1
-                return
             group = groups.get(key)
             if group is None:
                 group = groups[key] = (len(groups), [],
                                        bytearray() if size < 256 else [],
                                        _may_repeat(dist, size))
-            order.append(group[0])
-            group[1].append("".join(letters))
-            group[2].append(period(offsets) if group[3] else size)
+            p = period(offsets) if group[3] else size
+            if p < size:
+                word = "".join(letters)
+                if _reroot(word, -p) != word:
+                    raise AssertionError(f"{word} is not fixed by its period {p}")
+            group[2].append(p)
+            if words:
+                order.append(group[0])
+                group[1].append("".join(letters))
             return
         if opens < n:
             child = opens + 1
@@ -500,18 +496,15 @@ def _btree_walk(b: int, n: int, census: bool):
     # `walk` refers to itself: unbound, its working lists go now, not when
     # the cyclic collector next runs
     walk = None
-    if census:
-        return {(_normalize_degrees(counts[1:]), root): tuple(sorted(group.items()))
-                for (counts, root), group in groups.items()}
-    return ({(_normalize_degrees(counts[1:]), root): (tuple(words), periods)
-             for (counts, root), (_, words, periods, _) in groups.items()}, order)
+    return ({(_normalize_degrees(counts[1:]), root): (tuple(listed), periods)
+             for (counts, root), (_, listed, periods, _) in groups.items()}, order)
 
 
 @functools.lru_cache(maxsize=None)
 def _words_by_degrees(b: int, n: int) -> tuple[dict, list[int]]:
-    """The word table of the b-tree walk: ({(degree distribution, root
-    degree): (words, periods)}, order), each group in word order."""
-    return _btree_walk(b, n, census=False)
+    """The word table of the b-tree walk, cached: ({(degree distribution,
+    root degree): (words, periods)}, order), each group in word order."""
+    return _btree_walk(b, n)
 
 
 def _admitted(b: int, n: int, admits=None):

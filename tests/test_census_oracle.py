@@ -5,6 +5,8 @@ with a literal rotation; the census under test reads each period off the arc
 offsets and rotates once to confirm it.
 """
 import gc
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -135,6 +137,32 @@ def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
         maps._btdeg_census_all.cache_clear()
 
 
+def test_word_table_walk_confirms_every_period_below_the_length(monkeypatch):
+    """The word table's periods rest on the same literal re-rooting as the
+    census's: a re-rooting that disagrees fails the table walk of ()()."""
+    monkeypatch.setattr(trees, "_reroot", lambda word, steps: word + "b")
+    with pytest.raises(AssertionError):
+        trees._btree_walk(0, 2)
+
+
+def test_btree_census_keeps_no_words():
+    """The census walk keeps each group's periods only: no word and no
+    order, and a cold census of BT(3, 6) (60,060 words) peaks well below
+    the 5.4 MB of a full word table."""
+    groups, order = trees._btree_walk(3, 6, words=False)
+    assert order == [] and all(words == () for words, _ in groups.values())
+    assert sum(len(periods) for _, periods in groups.values()) == 60060
+    maps._btdeg_census_all.cache_clear()
+    tracemalloc.start()
+    try:
+        maps._btdeg_census_all(3, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        maps._btdeg_census_all.cache_clear()
+    assert peak < 1 << 20, peak
+
+
 def test_tree_census_confirms_every_period(monkeypatch):
     """A plane-tree census rests on its literal rotation: one that gives
     back another tree fails it."""
@@ -159,12 +187,13 @@ def test_map_census_confirms_every_period(monkeypatch):
         maps._map_period_census.cache_clear()
 
 
+def period_counts(periods):
+    """((period, count), ...) of a walk group's periods."""
+    return tuple(sorted(Counter(periods).items()))
+
+
 def offset_census(words):
-    counts = {}
-    for w in words:
-        p = trees.cyclic_period(trees.arc_offsets(w))
-        counts[p] = counts.get(p, 0) + 1
-    return tuple(sorted(counts.items()))
+    return period_counts(trees.cyclic_period(trees.arc_offsets(w)) for w in words)
 
 
 def test_btree_walk_carries_its_degree_distribution():
@@ -172,7 +201,8 @@ def test_btree_walk_carries_its_degree_distribution():
     by (degree distribution, root degree), and by distribution alone in
     `_btdeg_census_all`."""
     table = reference_table(3, 4)
-    assert trees._btree_walk(3, 4, census=True) == \
+    groups, _ = trees._btree_walk(3, 4, words=False)
+    assert {key: period_counts(periods) for key, (_, periods) in groups.items()} == \
         {key: offset_census(words) for key, words in table.items()}
     by_degrees = {}
     for (degrees, _), words in table.items():
@@ -207,7 +237,7 @@ def test_word_table_records_each_word_period():
             for words, periods in groups.values():
                 assert list(periods) == [trees.cyclic_period(trees.arc_offsets(w))
                                          for w in words], (b, size)
-    groups, _ = trees._btree_walk(254, 1, census=False)  # 256 letters
+    groups, _ = trees._btree_walk(254, 1)  # 256 letters
     recorded = {}
     for words, periods in groups.values():
         assert len(words) == len(periods)
@@ -256,8 +286,8 @@ def test_btree_walk_leaves_nothing_to_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        trees._btree_walk(0, 6, census=False)
-        trees._btree_walk(2, 4, census=True)
+        trees._btree_walk(0, 6)
+        trees._btree_walk(2, 4, words=False)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -297,23 +327,23 @@ def test_enumeration_order_and_membership_unchanged():
 
 
 def test_walk_groups_give_every_tree_census():
-    """The census groups of the b = 0 walk that a family admits, each period
+    """The groups of the b = 0 census walk that a family admits, each period
     P scaled to order * P / 2n, sum to the family's census for each kind:
     one walk per n could serve every plane-tree family."""
     checked = 0
     for n in range(0, MAX_N + 1):
-        groups = trees._btree_walk(0, n, census=True)
+        groups, _ = trees._btree_walk(0, n, words=False)
         for family, kind in tree_families(n):
             try:
                 order = family.order(kind)
             except ValueError:
                 continue
             counts = {}
-            for key, census in groups.items():
+            for key, (_, periods) in groups.items():
                 if family.admits(*key):
-                    for p, c in census:
+                    for p in periods:
                         p = order * p // (2 * n) if n else 1
-                        counts[p] = counts.get(p, 0) + c
+                        counts[p] = counts.get(p, 0) + 1
             assert tuple(sorted(counts.items())) == \
                 rotations._period_census(family, kind), (family, kind)
             checked += 1
