@@ -12,11 +12,21 @@ The kinds themselves (`RotationKind`, `ORDINARY`, `LEAF`, `INTERNAL`,
 `degree_kind`) live in `trees`, whose families are rooted by them, and are
 re-exported here.
 
-Also here: orbits, the cached period census of a tree family, the two
-fixed-point counts of a `FixQuery` on any family, tree or map (by
-enumeration from the family's census, and from its closed form), and the
-transfer check relating fixedness under a restricted rotation to fixedness
-under a power of the ordinary one.
+Also here: orbits, the cached period census of a tree family and of each
+word-table group under a restricted kind, the two fixed-point counts of a
+`FixQuery` on any family, tree or map (by enumeration from the family's
+census, and from its closed form), and the transfer check relating
+fixedness under a restricted rotation to fixedness under a power of the
+ordinary one.
+
+The censuses nest as the map censuses do.  A plane-tree family's census
+(`_period_census`, which caches `family._census(kind)`) is the sum of the
+censuses of the groups of the word table `trees._words_by_degrees(0, n)`
+that it admits.  Under the ordinary kind a group's census counts the
+periods the table records; under a restricted kind it is `_group_census`,
+cached per group and kind, which turns each member once.  So the leaf-count
+and degree families that share a group share its rotations.  `AllTrees`
+keeps the census that lists, pairs and rotates every member.
 """
 from __future__ import annotations
 
@@ -41,10 +51,10 @@ def rotate(tree: PlaneTree, kind: RotationKind, steps: int) -> PlaneTree:
             raise NoEligibleCorner(
                 f"root corner of {tree} is not a {kind} corner")
         # a node of degree d has d corners
-        visits = [kind.eligible(d) for d in degree]
-        k = sum(d for d, v in zip(degree, visits) if v)
+        k = sum(filter(kind.eligible, degree))
         if steps % k == 0:
             return tree
+        visits = list(map(kind.eligible, degree))
         eligible = [c for c, node in enumerate(trees.corner_nodes(tree.word))
                     if visits[node]]
         # One step of the restricted rotation re-roots at the nearest
@@ -80,20 +90,23 @@ class FixQuery(_Value):
 @functools.lru_cache(maxsize=None)
 def _period_census(family: trees.Family,
                    kind: RotationKind) -> tuple[tuple[int, int], ...]:
-    """((period, member count), ...) over the family; periods divide the order.
+    """((period, member count), ...) over the family; periods divide the
+    order: `family._census(kind)`."""
+    return family._census(kind)
 
-    The members are listed by `trees.enumerate_family`, and each one's
-    ordinary period P is read from the plane-tree word table's groups that
-    the family admits (none unless it is feasible), which list the same
-    words in the same order; a member that is not the table's word at its
-    place, or a count that differs, fails the census.  The kind's `order`
-    eligible corners repeat with a member's word, so `trees.period_census`
-    scales P to the kind's period and confirms it by one literal `rotate`.
-    """
-    table = (trees._admitted(0, family.n, family.admits) if family.feasible()
-             else ((), ()))
-    return trees.period_census(trees.enumerate_family(family), family.order(kind),
-                               lambda t, p: rotate(t, kind, p), table)
+
+@functools.lru_cache(maxsize=None)
+def _group_census(n: int, key: tuple,
+                  kind: RotationKind) -> tuple[tuple[int, int], ...]:
+    """The census under the restricted `kind` of the group `key` (degree
+    distribution, root degree) of the plane-tree word table
+    `trees._words_by_degrees(0, n)`.  The kind visits the same k corners
+    of every member, so `trees.period_census` scales the period P the
+    table records to k * P / 2n, and confirms it by one literal `rotate`
+    of each member, built once."""
+    words, periods = trees._words_by_degrees(0, n)[0][key]
+    return trees.period_census(map(PlaneTree, words), kind.corners(key[0]),
+                               lambda t, p: rotate(t, kind, p), (words, periods))
 
 
 def fix_count_bruteforce(query: FixQuery) -> int:

@@ -30,12 +30,19 @@ subtrees + ')'.
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
 corner must be one the kind visits.  Its members, the order of each kind
-acting on it, and its counts all follow from these two.
+acting on it, and its counts all follow from these two.  So does its
+census: every family, under every kind, is a union of word-table groups,
+and its census is the sum of theirs.  An ordinary group's census counts the
+periods the table records; a restricted group's turns each member once
+and is cached per group and kind (`rotations._group_census`), so families
+that share a group share its rotations.  `AllTrees` alone lists, pairs and
+rotates its members, one by one.
 """
 from __future__ import annotations
 
 import functools
 import operator
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -411,6 +418,8 @@ def _btree_walk(b: int, n: int, words: bool = True):
     counts allow a period below L (`_may_repeat`); in the others it is L.
     A period below L is confirmed by one literal re-rooting of the word;
     re-rooting by the whole tour is the identity, so P = L needs none.
+    Once every edge is placed, a prefix standing at the root can go on
+    only with buds, and one frame writes them all.
     """
     if b < 0 or n < 0:
         return {}, []
@@ -434,30 +443,47 @@ def _btree_walk(b: int, n: int, words: bool = True):
 
     def walk(i: int, opens: int, buds: int, node: int) -> None:
         """Extend the prefix of length i, which stands at `node`."""
-        if opens == n and buds == b:
-            while node:  # the rest of the word closes every open edge
-                j = opened_at[node]
-                offsets[j] = i - j
-                offsets[i] = size - (i - j)
-                letters[i] = ")"
-                node = parent[node]
-                i += 1
-            key = (tuple(dist), degree[0])
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = (len(groups), [],
-                                       bytearray() if size < 256 else [],
-                                       _may_repeat(dist, size))
-            p = period(offsets) if group[3] else size
-            if p < size:
-                word = "".join(letters)
-                if _reroot(word, -p) != word:
-                    raise AssertionError(f"{word} is not fixed by its period {p}")
-            group[2].append(p)
-            if words:
-                order.append(group[0])
-                group[1].append("".join(letters))
-            return
+        if opens == n:
+            if buds == b:
+                while node:  # the rest of the word closes every open edge
+                    j = opened_at[node]
+                    offsets[j] = i - j
+                    offsets[i] = size - (i - j)
+                    letters[i] = ")"
+                    node = parent[node]
+                    i += 1
+                key = (tuple(dist), degree[0])
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = (len(groups), [],
+                                           bytearray() if size < 256 else [],
+                                           _may_repeat(dist, size))
+                p = period(offsets) if group[3] else size
+                if p < size:
+                    word = "".join(letters)
+                    if _reroot(word, -p) != word:
+                        raise AssertionError(f"{word} is not fixed by its period {p}")
+                group[2].append(p)
+                if words:
+                    order.append(group[0])
+                    group[1].append("".join(letters))
+                return
+            if not node and b - buds > 1:
+                # at the root with every edge placed, the rest can only be
+                # buds: one frame places them all (one is the bud step's)
+                rest = b - buds
+                d = degree[0]
+                degree[0] = d + rest
+                dist[d] -= 1
+                dist[d + rest] += 1
+                for j in range(i, size):
+                    offsets[j] = 0
+                    letters[j] = "b"
+                walk(size, n, b, 0)
+                degree[0] = d
+                dist[d] += 1
+                dist[d + rest] -= 1
+                return
         if opens < n:
             child = opens + 1
             d = degree[node]
@@ -579,6 +605,11 @@ class RotationKind(_Value):
             return True
         raise IncompatibleKind(f"unknown kind {self}")
 
+    def corners(self, degrees) -> int:
+        """The corners it visits in a tree with degrees[i-1] nodes of
+        degree i: a node of degree d has d corners."""
+        return sum(d * c for d, c in enumerate(degrees, start=1) if self.eligible(d))
+
 
 ORDINARY = RotationKind("ordinary")
 LEAF = RotationKind("leaf")
@@ -637,7 +668,8 @@ class Family(_Value):
                     which have one rotation);
       order(kind)   the order of that rotation (the word length by default);
       census(kind)  ((period, member count), ...) by enumeration: the
-                    least rotation power fixing each member;
+                    least rotation power fixing each member; a plane-tree
+                    family sums the censuses of its word-table groups;
       fix_closed(d) from a formula, the members fixed by a rotation power
                     of order d, for every d dividing the order;
       count()       the number of members: fix_closed(1).
@@ -722,6 +754,35 @@ class _PlaneTrees(Family):
         from . import rotations  # which imports this module
         return rotations._period_census(self, kind)
 
+    def _census(self, kind: RotationKind):
+        """The sum of the censuses of the groups of the word table
+        `_words_by_degrees(0, n)` that the family admits, whose root corner
+        every kind acting on it visits.  Under the ordinary kind a group's
+        census counts the periods the table records: the walk re-rooted each
+        word whose P is below 2n, and re-rooting by the whole tour is the
+        identity.  Under a restricted kind it is the group's
+        `rotations._group_census`, at the group's own count of eligible
+        corners, which must be the family's order."""
+        order = self.order(kind)
+        if not self.feasible():
+            return ()
+        from . import rotations
+        counts: dict[int, int] = {}
+        for key, (_, periods) in _words_by_degrees(0, self.n)[0].items():
+            if not self.admits(*key):
+                continue
+            if kind.name == "ordinary":
+                census = Counter(periods).items()
+            elif kind.corners(key[0]) == order:
+                census = rotations._group_census(self.n, key, kind)
+            else:
+                raise AssertionError(
+                    f"{self} has order {order} under {kind}, but its members with "
+                    f"degrees {key[0]} have {kind.corners(key[0])} such corners")
+            for p, count in census:
+                counts[p] = counts.get(p, 0) + count
+        return tuple(sorted(counts.items()))
+
     def order(self, kind: RotationKind) -> int:
         """2n for the ordinary rotation, which acts on any word; else the
         number of corners the kind visits, which is the same in every member."""
@@ -750,7 +811,7 @@ class AllTrees(_PlaneTrees, name="all_trees"):
 
     def members(self):
         # a `stats` scan of every word, all admitted, kept only because the
-        # benchmark's self-test pins the scanned count (ROADMAP item 1); the
+        # benchmark's self-test pins the scanned count (ROADMAP item 1a); the
         # words are the table's, in its order, as the census pairs them
         words, _ = _admitted(0, self.n)
         for word in words:
@@ -758,6 +819,16 @@ class AllTrees(_PlaneTrees, name="all_trees"):
             st = stats(t)
             if self.admits(st.degrees, st.root_degree):
                 yield t
+
+    def _census(self, kind: RotationKind):
+        # listed, paired with the word table and rotated member by member,
+        # not summed over the groups: the benchmark's self-test pins this
+        # path's listing, its `stats` scan and its one census miss.  It
+        # joins the groups when the scan goes (ROADMAP item 1a).
+        from . import rotations
+        return period_census(enumerate_family(self), self.order(kind),
+                             lambda t, p: rotations.rotate(t, kind, p),
+                             _admitted(0, self.n))
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.n, d)

@@ -326,10 +326,43 @@ def test_enumeration_order_and_membership_unchanged():
             assert [t.word for t in enumerate_family(family)] == expected, family
 
 
-def test_walk_groups_give_every_tree_census():
+def listed_census(family, kind):
+    """The census that lists the members, pairs each with the period the
+    word table records at its place and rotates it once: `AllTrees`'s."""
+    table = (trees._admitted(0, family.n, family.admits) if family.feasible()
+             else ((), ()))
+    return trees.period_census(enumerate_family(family), family.order(kind),
+                               lambda t, p: rotate(t, kind, p), table)
+
+
+@pytest.fixture
+def cold_censuses():
+    """Empty plane-tree census caches, emptied again afterwards."""
+    rotations._period_census.cache_clear()
+    rotations._group_census.cache_clear()
+    yield
+    rotations._period_census.cache_clear()
+    rotations._group_census.cache_clear()
+
+
+def counted_rotations(monkeypatch):
+    """Patch `rotations.rotate` to record the tree of every call."""
+    calls = []
+    original = rotations.rotate
+
+    def counted(t, kind, steps):
+        calls.append(t)
+        return original(t, kind, steps)
+
+    monkeypatch.setattr(rotations, "rotate", counted)
+    return calls
+
+
+def test_walk_groups_give_every_tree_census(cold_censuses):
     """The groups of the b = 0 census walk that a family admits, each period
-    P scaled to order * P / 2n, sum to the family's census for each kind:
-    one walk per n could serve every plane-tree family."""
+    P scaled to order * P / 2n, sum to the family's census for each kind,
+    and so do the census that lists and rotates every member and the
+    divisor-trial census, the empty families included."""
     checked = 0
     for n in range(0, MAX_N + 1):
         groups, _ = trees._btree_walk(0, n, words=False)
@@ -344,7 +377,69 @@ def test_walk_groups_give_every_tree_census():
                     for p in periods:
                         p = order * p // (2 * n) if n else 1
                         counts[p] = counts.get(p, 0) + 1
-            assert tuple(sorted(counts.items())) == \
-                rotations._period_census(family, kind), (family, kind)
+            got = rotations._period_census(family, kind)
+            assert got == tuple(sorted(counts.items())), (family, kind)
+            assert got == listed_census(family, kind), (family, kind)
+            assert got == divisor_trial_census(
+                list(enumerate_family(family)), order,
+                lambda t, p: rotate(t, kind, p)), (family, kind)
             checked += 1
     assert checked == 557
+
+
+def test_restricted_group_census_confirms_every_period(monkeypatch, cold_censuses):
+    """A restricted census rests on its literal rotation: one that gives
+    back another tree fails it."""
+    monkeypatch.setattr(rotations, "rotate", lambda t, kind, steps: PlaneTree())
+    with pytest.raises(AssertionError, match="not fixed"):
+        rotations._period_census(LeafRooted(4, 3), LEAF)
+
+
+def test_restricted_census_checks_the_order_against_each_group(
+        monkeypatch, cold_censuses):
+    """A family whose order under its kind is not the number of corners
+    the kind visits in its members fails the census."""
+    monkeypatch.setattr(LeafRooted, "order", lambda self, kind: self.k + 1)
+    with pytest.raises(AssertionError, match="corners"):
+        rotations._period_census(LeafRooted(4, 3), LEAF)
+
+
+def test_restricted_census_turns_each_member_once(monkeypatch, cold_censuses):
+    family = InternalRooted(10, 6)
+    calls = counted_rotations(monkeypatch)
+    census = rotations._period_census(family, INTERNAL)
+    assert len(calls) == len(set(calls)) == family.count() == sum(c for _, c in census)
+
+
+def test_degree_census_reuses_the_leaf_count_groups(monkeypatch, cold_censuses):
+    """Each (degree distribution, root degree) group is turned once per
+    kind: after the `InternalRooted` censuses at n, the `InternalRootedDeg`
+    ones make no rotation, and agree with the listed census."""
+    n = 6
+    for k in range(2, n + 1):
+        rotations._period_census(InternalRooted(n, k), INTERNAL)
+    calls = counted_rotations(monkeypatch)
+    for degrees in degree_distributions(n):
+        family = InternalRootedDeg(degrees)
+        assert rotations._period_census(family, INTERNAL) == \
+            listed_census(family, INTERNAL), degrees
+        assert calls == [], degrees
+
+
+def test_bud_heavy_walks_match_the_reference():
+    """A walk that stands at the root with every edge placed writes its
+    remaining buds in one step: the groups, the periods and the order of
+    the walks with many buds are still those of the reference table."""
+    for b, n in [(b, n) for b in range(31) for n in (0, 1)] + \
+            [(b, 2) for b in range(13)]:
+        table = reference_table(b, n)
+        groups, order = trees._btree_walk(b, n)
+        assert {key: words for key, (words, _) in groups.items()} == table, (b, n)
+        for words, periods in groups.values():
+            assert list(periods) == [trees.cyclic_period(trees.arc_offsets(w))
+                                     for w in words], (b, n)
+        rows = [iter(words) for words, _ in groups.values()]
+        assert tuple(next(rows[g]) for g in order) == reference_words(b, n), (b, n)
+        counted, _ = trees._btree_walk(b, n, words=False)
+        assert {key: list(periods) for key, (_, periods) in counted.items()} == \
+            {key: list(periods) for key, (_, periods) in groups.items()}, (b, n)

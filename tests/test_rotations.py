@@ -57,6 +57,32 @@ class TestRotate:
         for t in enumerate_family(fam):
             assert rotate(t, degree_kind(1), 1) == rotate(t, LEAF, 1)
 
+    def test_restricted_rotation_matches_one_step_at_a_time(self):
+        """Each restricted step re-roots at the nearest corner of the kind
+        behind the root, each inverse step at the nearest one ahead of it;
+        a root corner outside the kind has no rotation."""
+        kinds = [LEAF, INTERNAL] + [degree_kind(d) for d in range(1, 5)]
+        for n in range(0, 6):
+            for t in enumerate_family(AllTrees(n)):
+                size = len(t.word)
+                deg = trees.node_degrees(t.word)
+                nodes = trees.corner_nodes(t.word)
+                for kind in kinds:
+                    if not (size and kind.eligible(deg[0])):
+                        with pytest.raises(NoEligibleCorner):
+                            rotate(t, kind, 1)
+                        continue
+                    k = kind.corners(trees.degree_distribution(deg))
+                    word = t.word
+                    for steps in range(k + 2):
+                        assert rotate(t, kind, steps).word == word, (t, kind, steps)
+                        assert rotate(rotate(t, kind, steps), kind, -steps) == t
+                        at, of = trees.corner_nodes(word), trees.node_degrees(word)
+                        s = next(s for s in range(1, size + 1)
+                                 if kind.eligible(of[at[-s]]))
+                        word = shift_root(word, s)
+                    assert k == sum(kind.eligible(deg[v]) for v in nodes)
+
     def test_internal_requires_internal_root(self):
         with pytest.raises(NoEligibleCorner):
             rotate(PlaneTree("(())"), INTERNAL, 1)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sieveforest import trees
+from sieveforest import maps, rotations, trees
 from sieveforest.cli import run
 from sieveforest.maps import BTDeg
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, CentralEdge,
@@ -84,15 +84,19 @@ class TestFamilies:
     def test_infeasible_degree_lists_list_nothing_without_a_walk(
             self, monkeypatch, capsys):
         """No tree (no b-tree, buds included) has these degrees or leaf
-        counts: listing the members reads no word table."""
+        counts: listing the members, or taking a cold census, reads no word
+        table."""
         def walk(*args, **kwargs):
             raise AssertionError("walked")
 
         monkeypatch.setattr(trees, "_btree_walk", walk)
         monkeypatch.setattr(trees, "_words_by_degrees", walk)
+        rotations._period_census.cache_clear()
+        maps._map_period_census.cache_clear()
         for fam in (ByDegrees((24,)), InternalRootedDeg((0, 2)), BTDeg(1, (0, 2)),
                     ByLeaves(12, 20), LeafRooted(12, 20), InternalRooted(5, 1)):
             assert list(fam.members()) == [] and fam.count() == 0, fam
+            assert fam.census(fam.kind) == (), fam
         for flags in (["--family", "by_degrees", "--degrees", "24"],
                       ["--family", "by_leaves", "--n", "12", "--k", "20"]):
             assert run(["enumerate", *flags, "--size-guard", "12"]) == 0
