@@ -36,9 +36,11 @@ distribution, root degree) without parsing it.  The member lists of `BT`,
 word table; the censuses of `BT`, `BTDeg` and `NCM` (at b = 0) count
 the periods of a walk that keeps no words, over the root-degree groups
 of each degree distribution (`_btdeg_census_all`).  Only a
-`TMDeg` census enumerates maps; a `TMij` census sums its degree classes'
-and a `TMn` census its `TMij` parts', so each map is composed and rotated
-once per process.
+`TMDeg` census enumerates maps, pairing each with the period of its arc
+offsets; a `TMij` census sums its degree classes' and a `TMn` census its
+`TMij` parts', each through `family.census()`, the one census cache of
+every family (`rotations._period_census`, keyed (family, None) here), so
+each map is composed and rotated once per process.
 """
 from __future__ import annotations
 
@@ -48,10 +50,13 @@ from collections import Counter
 from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
+# the one family-census cache, under the name the benchmark clears and traces
+from .rotations import _period_census as _map_period_census  # noqa: F401
 from .trees import (Family, _btree_fix, _btree_walk, _check_sizes,
                     _degrees_feasible, _degrees_fix, _normalize_degrees,
-                    _reroot, _TourWord, _Value, catalan, degree_solutions,
-                    matching, period_census)
+                    _reroot, _summed_census, _TourWord, _Value, arc_offsets,
+                    catalan, cyclic_period, degree_solutions, matching,
+                    period_census)
 
 
 class SizeMismatch(ValueError):
@@ -146,12 +151,12 @@ class _Maps(Family):
 
     kind = None
 
-    def census(self, kind=None):
-        return _map_period_census(self)
-
-    def _census(self):
-        """The census by enumeration, one literal rotation per member."""
-        return period_census(enumerate_maps(self), self.order(), self.rotate)
+    def _census(self, kind):
+        """The census by enumeration: each member paired with the period of
+        its arc offsets and given one literal rotation."""
+        return period_census(((m, cyclic_period(arc_offsets(m.word)))
+                              for m in enumerate_maps(self)),
+                             self.order(), self.rotate)
 
     def rotate(self, member, steps: int):
         """The tree-rooted map rotation; b-trees and matchings override it."""
@@ -169,7 +174,7 @@ class BT(_Maps, name="bt", guard=5):
     def rotate(self, member, steps: int):
         return rotate_btree(member, steps)
 
-    def _census(self):
+    def _census(self, kind):
         """The one-walk b-tree census, summed over degree distributions."""
         return _summed_census(_btdeg_census_all(self.b, self.n).values())
 
@@ -201,7 +206,7 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
     def admits(self, degrees, root_degree) -> bool:
         return degrees == self.degrees
 
-    def _census(self):
+    def _census(self, kind):
         """This degree distribution's group of the one-walk b-tree census."""
         if not self.feasible():
             return ()
@@ -217,8 +222,9 @@ class _Decoupled(_Maps):
     `TMDeg` census composes them; a `TMij` census sums its classes'."""
 
     def members(self):
+        matchings = list(NCM(self.j).members())
         for bt in self._btrees().members():
-            for m in _ncm_list(self.j):
+            for m in matchings:
                 yield compose(bt, m)
 
 
@@ -236,12 +242,12 @@ class TMij(_Decoupled, name="tm_ij", guard=5):
     def _btrees(self):
         return BT(2 * self.j, self.i)
 
-    def _census(self):
+    def _census(self, kind):
         """Summed over the tree part's degree classes, buds included; the
         one-vertex map has no class and is enumerated."""
         if self.n == 0:
-            return super()._census()
-        return _summed_census(_map_period_census(TMDeg(self.j, d))
+            return super()._census(kind)
+        return _summed_census(TMDeg(self.j, d).census()
                               for d in degree_solutions(self.i + 1, 2 * self.n))
 
     def fix_closed(self, d: int) -> int:
@@ -264,9 +270,9 @@ class TMn(_Maps, name="tm_n", guard=5):
         for i in range(self.n + 1):
             yield from TMij(i, self.n - i).members()
 
-    def _census(self):
+    def _census(self, kind):
         """The sum of the `TMij(i, n - i)` censuses."""
-        return _summed_census(_map_period_census(TMij(i, self.n - i))
+        return _summed_census(TMij(i, self.n - i).census()
                               for i in range(self.n + 1))
 
     def fix_closed(self, d: int) -> int:
@@ -320,18 +326,13 @@ class NCM(_Maps, name="ncm", guard=5):
     def rotate(self, member, steps: int):
         return rotate_ncm(member, steps)
 
-    def _census(self):
+    def _census(self, kind):
         """The b = 0 walk: a matching's word is a b-tree word with no buds,
         and `rotate_ncm` re-roots it."""
-        return BT(0, self.j)._census()
+        return BT(0, self.j).census()
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.j, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _ncm_list(j: int) -> tuple[NonCrossingMatching, ...]:
-    return tuple(NCM(j).members())
 
 
 def compose(btree: BTreeWord, m: NonCrossingMatching) -> TreeRootedMap:
@@ -424,21 +425,6 @@ def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:
     if b == n == 0:
         return [()]
     return degree_solutions(n + 1, 2 * n + b)
-
-
-def _summed_census(censuses) -> tuple[tuple[int, int], ...]:
-    """The census of a disjoint union: the parts' counts added by period."""
-    counts: dict[int, int] = {}
-    for census in censuses:
-        for p, c in census:
-            counts[p] = counts.get(p, 0) + c
-    return tuple(sorted(counts.items()))
-
-
-@functools.lru_cache(maxsize=None)
-def _map_period_census(family) -> tuple[tuple[int, int], ...]:
-    """((period, member count), ...) over the family: `family._census()`."""
-    return family._census()
 
 
 def fix_count_maps(family, e: int) -> int:

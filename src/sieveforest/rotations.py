@@ -12,16 +12,17 @@ The kinds themselves (`RotationKind`, `ORDINARY`, `LEAF`, `INTERNAL`,
 `degree_kind`) live in `trees`, whose families are rooted by them, and are
 re-exported here.
 
-Also here: orbits, the cached period census of a tree family and of each
-word-table group under a restricted kind, the two fixed-point counts of a
-`FixQuery` on any family, tree or map (by enumeration from the family's
-census, and from its closed form), and the transfer check relating
-fixedness under a restricted rotation to fixedness under a power of the
-ordinary one.
+Also here: orbits, the one cache of every family's period census, tree or
+map, and the cached census of each word-table group under a restricted
+kind, the two fixed-point counts of a `FixQuery` on any family (by
+enumeration from the family's census, and from its closed form), and the
+transfer check relating fixedness under a restricted rotation to fixedness
+under a power of the ordinary one.
 
-The censuses nest as the map censuses do.  A plane-tree family's census
-(`_period_census`, which caches `family._census(kind)`) is the sum of the
-censuses of the groups of the word table `trees._words_by_degrees(0, n)`
+`Family.census(kind)` reads `_period_census`, which caches
+`family._census(kind)` under (family, kind); a map family's kind is None.
+The censuses nest through it.  A plane-tree family's census is the sum of
+the censuses of the groups of the word table `trees._words_by_degrees(0, n)`
 that it admits.  Under the ordinary kind a group's census counts the
 periods the table records; under a restricted kind it is `_group_census`,
 cached per group and kind, which turns each member once.  So the leaf-count
@@ -89,9 +90,10 @@ class FixQuery(_Value):
 
 @functools.lru_cache(maxsize=None)
 def _period_census(family: trees.Family,
-                   kind: RotationKind) -> tuple[tuple[int, int], ...]:
+                   kind: "RotationKind | None") -> tuple[tuple[int, int], ...]:
     """((period, member count), ...) over the family; periods divide the
-    order: `family._census(kind)`."""
+    order: `family._census(kind)`, the one cache of every family's census
+    (a map family's key is (family, None))."""
     return family._census(kind)
 
 
@@ -105,8 +107,8 @@ def _group_census(n: int, key: tuple,
     table records to k * P / 2n, and confirms it by one literal `rotate`
     of each member, built once."""
     words, periods = trees._words_by_degrees(0, n)[0][key]
-    return trees.period_census(map(PlaneTree, words), kind.corners(key[0]),
-                               lambda t, p: rotate(t, kind, p), (words, periods))
+    return trees.period_census(zip(map(PlaneTree, words), periods),
+                               kind.corners(key[0]), lambda t, p: rotate(t, kind, p))
 
 
 def fix_count_bruteforce(query: FixQuery) -> int:

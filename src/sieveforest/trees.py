@@ -32,11 +32,18 @@ distribution) and a root constraint, which is its rotation kind: the root
 corner must be one the kind visits.  Its members, the order of each kind
 acting on it, and its counts all follow from these two.  So does its
 census: every family, under every kind, is a union of word-table groups,
-and its census is the sum of theirs.  An ordinary group's census counts the
-periods the table records; a restricted group's turns each member once
-and is cached per group and kind (`rotations._group_census`), so families
-that share a group share its rotations.  `AllTrees` alone lists, pairs and
-rotates its members, one by one.
+and its census is the sum of theirs (`_summed_census`).  An ordinary
+group's census counts the periods the table records; a restricted group's
+turns each member once and is cached per group and kind
+(`rotations._group_census`), so families that share a group share its
+rotations.  `AllTrees` alone lists its members and pairs each with the
+period of its word in the table (`_paired`).
+
+Every family, tree or map, has one census path: `Family.census(kind)`
+reads the one cache, `rotations._period_census`, which calls the family's
+`_census(kind)`.  Every census that rotates members hands (member, period)
+pairs to `period_census`, which scales each period to the kind's order and
+confirms it by one literal rotation.
 """
 from __future__ import annotations
 
@@ -261,22 +268,14 @@ def cyclic_period(symbols: str | bytes | bytearray) -> int:
     return (symbols + symbols).find(symbols, 1) if symbols else 1
 
 
-def period_census(members, order, rotate,
-                  table=None) -> tuple[tuple[int, int], ...]:
-    """((period, member count), ...) sorted by period, under a rotation of
-    order `order` whose eligible corners repeat with each member's word:
-    order * P / L, P the cyclic period of its arc offsets and L its length
-    (1 for the empty word).  With `table`, the (words, periods) of the
-    members' word table, each P is read from it instead of from the word,
-    and the members must be the table's words, in its order (the walk has
-    already re-rooted each word whose P is below L).
+def period_census(pairs, order, rotate) -> tuple[tuple[int, int], ...]:
+    """((period, member count), ...) sorted by period, over (member, P)
+    pairs, P the cyclic period of the member's arc offsets, under a
+    rotation of order `order` whose eligible corners repeat with each
+    member's word: order * P / L, L its length (1 for the empty word).
     `rotate(m, p) == m` confirms each period by one literal rotation, at
     p = order too, which checks the order against the member's own corners.
     """
-    if table is None:
-        pairs = ((m, cyclic_period(arc_offsets(m.word))) for m in members)
-    else:
-        pairs = _paired(members, *table)
     counts: dict[int, int] = {}
     for m, period in pairs:
         size = len(m.word)
@@ -299,6 +298,15 @@ def _paired(members, words, periods):
     m = next(members, None)
     if m is not None:
         raise AssertionError(f"member {m} is listed past the end of its word table")
+
+
+def _summed_census(censuses) -> tuple[tuple[int, int], ...]:
+    """The census of a disjoint union: the parts' counts added by period."""
+    counts: dict[int, int] = {}
+    for census in censuses:
+        for p, c in census:
+            counts[p] = counts.get(p, 0) + c
+    return tuple(sorted(counts.items()))
 
 
 def shift_root(word: str, steps: int) -> str:
@@ -668,8 +676,10 @@ class Family(_Value):
                     which have one rotation);
       order(kind)   the order of that rotation (the word length by default);
       census(kind)  ((period, member count), ...) by enumeration: the
-                    least rotation power fixing each member; a plane-tree
-                    family sums the censuses of its word-table groups;
+                    least rotation power fixing each member, cached by
+                    `rotations._period_census` under (family, kind) and
+                    made by the family's `_census(kind)`; a family that is
+                    a disjoint union sums its parts' censuses;
       fix_closed(d) from a formula, the members fixed by a rotation power
                     of order d, for every d dividing the order;
       count()       the number of members: fix_closed(1).
@@ -718,6 +728,10 @@ class Family(_Value):
     def order(self, kind=None) -> int:
         return self.word_length
 
+    def census(self, kind=None):
+        from . import rotations  # which imports this module
+        return rotations._period_census(self, kind)
+
     def count(self) -> int:
         return self.fix_closed(1)
 
@@ -750,10 +764,6 @@ class _PlaneTrees(Family):
 
     kind = ORDINARY
 
-    def census(self, kind: RotationKind):
-        from . import rotations  # which imports this module
-        return rotations._period_census(self, kind)
-
     def _census(self, kind: RotationKind):
         """The sum of the censuses of the groups of the word table
         `_words_by_degrees(0, n)` that the family admits, whose root corner
@@ -767,21 +777,20 @@ class _PlaneTrees(Family):
         if not self.feasible():
             return ()
         from . import rotations
-        counts: dict[int, int] = {}
-        for key, (_, periods) in _words_by_degrees(0, self.n)[0].items():
-            if not self.admits(*key):
-                continue
-            if kind.name == "ordinary":
-                census = Counter(periods).items()
-            elif kind.corners(key[0]) == order:
-                census = rotations._group_census(self.n, key, kind)
-            else:
-                raise AssertionError(
-                    f"{self} has order {order} under {kind}, but its members with "
-                    f"degrees {key[0]} have {kind.corners(key[0])} such corners")
-            for p, count in census:
-                counts[p] = counts.get(p, 0) + count
-        return tuple(sorted(counts.items()))
+
+        def groups():
+            for key, (_, periods) in _words_by_degrees(0, self.n)[0].items():
+                if not self.admits(*key):
+                    continue
+                if kind.name == "ordinary":
+                    yield Counter(periods).items()
+                elif kind.corners(key[0]) == order:
+                    yield rotations._group_census(self.n, key, kind)
+                else:
+                    raise AssertionError(
+                        f"{self} has order {order} under {kind}, but its members with "
+                        f"degrees {key[0]} have {kind.corners(key[0])} such corners")
+        return _summed_census(groups())
 
     def order(self, kind: RotationKind) -> int:
         """2n for the ordinary rotation, which acts on any word; else the
@@ -826,9 +835,9 @@ class AllTrees(_PlaneTrees, name="all_trees"):
         # path's listing, its `stats` scan and its one census miss.  It
         # joins the groups when the scan goes (ROADMAP item 1a).
         from . import rotations
-        return period_census(enumerate_family(self), self.order(kind),
-                             lambda t, p: rotations.rotate(t, kind, p),
-                             _admitted(0, self.n))
+        return period_census(_paired(enumerate_family(self), *_admitted(0, self.n)),
+                             self.order(kind),
+                             lambda t, p: rotations.rotate(t, kind, p))
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.n, d)

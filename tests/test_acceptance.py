@@ -219,6 +219,7 @@ class TestCriterion8:
                 assert glue_halves(marked) == t
                 images.add(marked)
             assert images == codomain
+            assert len(images) == len(fixed)
 
         # d-fold-fixed trees <-> marked sectors, for every d | n, d >= 2.
         for n in range(2, 10):

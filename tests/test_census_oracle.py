@@ -102,7 +102,7 @@ def test_map_census_matches_divisor_trial():
     for family in map_families():
         oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
                                       family.order(), family.rotate)
-        assert maps._map_period_census(family) == oracle, family
+        assert family.census() == oracle, family
 
 
 def test_btree_walk_census_matches_divisor_trial():
@@ -117,7 +117,7 @@ def test_btree_walk_census_matches_divisor_trial():
                 oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
                                               2 * n + b, family.rotate)
                 assert got == oracle, (b, n, degrees)
-            assert maps._map_period_census(BT(b, n)) == divisor_trial_census(
+            assert BT(b, n).census() == divisor_trial_census(
                 list(maps.enumerate_maps(BT(b, n))), 2 * n + b,
                 BT(b, n).rotate), (b, n)
     assert maps._btdeg_census_all(0, 0) == {(): ((1, 1),)}
@@ -178,13 +178,43 @@ def test_tree_census_confirms_every_period(monkeypatch):
 def test_map_census_confirms_every_period(monkeypatch):
     """A map census rests on its literal rotation: one that gives back
     another map fails it."""
-    maps._map_period_census.cache_clear()
+    rotations._period_census.cache_clear()
     monkeypatch.setattr(maps, "rotate_map", lambda mp, steps: maps.TreeRootedMap())
     try:
         with pytest.raises(AssertionError):
-            maps._map_period_census(TMDeg(1, (1, 1, 1)))
+            TMDeg(1, (1, 1, 1)).census()
     finally:
-        maps._map_period_census.cache_clear()
+        rotations._period_census.cache_clear()
+
+
+def test_census_fails_on_a_wrong_period():
+    """A pair whose period is not the member's fails the census: (())
+    turned by one of its 4 corners is ()(); by two it is itself."""
+    def census(period):
+        return trees.period_census([(PlaneTree("(())"), period)], 4,
+                                   lambda t, p: rotate(t, ORDINARY, p))
+
+    assert census(2) == ((2, 1),)
+    with pytest.raises(AssertionError, match="not fixed"):
+        census(1)
+
+
+def test_every_family_census_has_one_cache():
+    """Tree and map censuses share one cache, under both its names; a map
+    census is keyed (family, None)."""
+    assert maps._map_period_census is rotations._period_census
+    cache = rotations._period_census
+    cache.cache_clear()
+    try:
+        TMn(3).census()
+        for i in range(4):
+            before = cache.cache_info()
+            census = TMij(i, 3 - i).census()
+            assert cache(TMij(i, 3 - i), None) is census
+            after = cache.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 2, before.misses), i
+    finally:
+        cache.cache_clear()
 
 
 def period_counts(periods):
@@ -331,8 +361,8 @@ def listed_census(family, kind):
     word table records at its place and rotates it once: `AllTrees`'s."""
     table = (trees._admitted(0, family.n, family.admits) if family.feasible()
              else ((), ()))
-    return trees.period_census(enumerate_family(family), family.order(kind),
-                               lambda t, p: rotate(t, kind, p), table)
+    return trees.period_census(trees._paired(enumerate_family(family), *table),
+                               family.order(kind), lambda t, p: rotate(t, kind, p))
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sieveforest.qseries import (NotPolynomial, PoleAtRoot, QPolynomial,
-                                 QProductExpr, cyclotomic,
+from sieveforest.qseries import (NonIntegerValue, NotPolynomial, PoleAtRoot,
+                                 QPolynomial, QProductExpr, cyclotomic,
                                  eval_at_primitive_root, eval_expr_at_root,
                                  q_binomial, q_int, q_multinomial,
                                  shape_predicates, to_polynomial)
@@ -150,6 +150,16 @@ class TestEvaluation:
     def test_not_polynomial(self):
         with pytest.raises(NotPolynomial):
             to_polynomial(QProductExpr(num=(2,), den=(3,)))
+
+    def test_non_integer_values_refused(self):
+        # [2]_q / [3]_q is 2/3 at q = 1
+        with pytest.raises(NonIntegerValue, match="2/3"):
+            eval_expr_at_root(QProductExpr(num=(2,), den=(3,)), 1)
+        # 1 + q is -q^2 at a primitive cube root q
+        with pytest.raises(NonIntegerValue, match="irrational"):
+            eval_expr_at_root(QProductExpr(num=(2,)), 3)
+        with pytest.raises(NonIntegerValue, match="not constant"):
+            eval_at_primitive_root(q_int(2), 3)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 7), st.integers(1, 7), st.data())

@@ -2,18 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sieveforest import maps, rotations, trees
+from sieveforest import rotations, trees
 from sieveforest.cli import run
 from sieveforest.maps import BTDeg
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, CentralEdge,
                                CentralVertex, InternalRooted,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
-                               MarkedTree, PlaneTree, RootDegree, catalan,
+                               NotEdgeCentered, PlaneTree, RootDegree, catalan,
                                center, closed_count, degree_distributions,
                                degree_solutions,
                                enumerate_family, family_from_descriptor,
-                               glue_halves, half_tree, matching,
-                               replicate_sector, sector, shift_root, stats)
+                               half_tree, matching, sector, shift_root, stats)
 
 
 def all_words(n):
@@ -92,7 +91,6 @@ class TestFamilies:
         monkeypatch.setattr(trees, "_btree_walk", walk)
         monkeypatch.setattr(trees, "_words_by_degrees", walk)
         rotations._period_census.cache_clear()
-        maps._map_period_census.cache_clear()
         for fam in (ByDegrees((24,)), InternalRootedDeg((0, 2)), BTDeg(1, (0, 2)),
                     ByLeaves(12, 20), LeafRooted(12, 20), InternalRooted(5, 1)):
             assert list(fam.members()) == [] and fam.count() == 0, fam
@@ -133,41 +131,17 @@ class TestCenter:
 
 
 class TestSurgeries:
-    def test_half_tree_counted_bijection(self):
-        # Half-turn-fixed trees with n odd <-> half-size trees with a marked
-        # non-root leaf; round trip in both directions, images counted.
-        for n in (1, 3, 5, 7, 9):
-            fixed = [t for t in enumerate_family(AllTrees(n))
-                     if shift_root(t.word, n) == t.word]
-            h = (n + 1) // 2
-            codomain = {MarkedTree(t, m)
-                        for t in enumerate_family(AllTrees(h))
-                        for m in range(1, 2 * h)
-                        if t.word[m - 1] == "(" and t.word[m] == ")"}
-            images = set()
-            for t in fixed:
-                m = half_tree(t)
-                assert glue_halves(m) == t
-                images.add(m)
-            assert images == codomain
-            assert len(images) == len(fixed)
-
-    def test_sector_round_trip(self):
-        for n in range(2, 9):
-            for d in range(2, n + 1):
-                if n % d:
-                    continue
-                for t in enumerate_family(AllTrees(n)):
-                    fixed = shift_root(t.word, 2 * n // d) == t.word
-                    if not fixed:
-                        continue
-                    m = sector(t, d)
-                    assert replicate_sector(m, d) == t
+    # the round trips, counted both ways, are tests/test_acceptance.py's
+    # TestCriterion8::test_structure_bijections_counted_both_ways
 
     def test_sector_requires_divisibility(self):
         t = PlaneTree("(()())")
         with pytest.raises(ValueError):
             sector(t, 2)  # R^(2n/2) does not fix this tree
+
+    def test_half_tree_requires_a_central_edge(self):
+        with pytest.raises(NotEdgeCentered):
+            half_tree(PlaneTree("(())"))  # centred at the middle node
 
 
 def ref_degree_solutions(nodes: int, degree_sum: int) -> list[tuple[int, ...]]:
