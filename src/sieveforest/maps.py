@@ -31,11 +31,12 @@ of them builds a family object to count.
 
 The b-tree and matching words all come from the one b-tree walk of
 `trees`, `_btree_walk`, which groups each finished word by (degree
-distribution, root degree) without parsing it.  The member lists of `BT`,
-`BTDeg` and `NCM` (n = j edges, no buds) are the protocol's, read off its
-word table; the censuses of `BT`, `BTDeg` and `NCM` (at b = 0) count
-the periods of a walk that keeps no words, over the root-degree groups
-of each degree distribution (`_btdeg_census_all`).  Only a
+distribution, root degree) without parsing it.  `BT`, `BTDeg` and `NCM`
+(n = j edges, no buds) give only `b`, `n`, `admits` and their member
+class: the member list is the walk groups they admit, read off the word
+table, and the census (`_Maps._census`) the sum of the same groups'
+censuses in `_btdeg_census_all`, the walk run keeping no words.  The
+tree-rooted map families (`_Decoupled`) list compositions.  Only a
 `TMDeg` census enumerates maps, pairing each with the period of its arc
 offsets; a `TMij` census sums its degree classes' and a `TMn` census its
 `TMij` parts', each through `family.census()`, the one census cache of
@@ -147,16 +148,21 @@ class TreeRootedMap(_TourWord):
 
 class _Maps(Family):
     """Map-side protocol: one rotation (`kind` None) whose order is the word
-    length, and `rotate`, which turns a member by a number of steps."""
+    length, `rotate`, which turns a member by a number of steps, and the
+    census of the b-tree walk groups the family lists."""
 
     kind = None
 
     def _census(self, kind):
-        """The census by enumeration: each member paired with the period of
-        its arc offsets and given one literal rotation."""
-        return period_census(((m, cyclic_period(arc_offsets(m.word)))
-                              for m in enumerate_maps(self)),
-                             self.order(), self.rotate)
+        """The b-tree census: the sum of the walk groups of
+        `_btdeg_census_all(b, n)` that the family admits, the groups its
+        `members()` lists; none, and no walk, unless `feasible()`."""
+        if not self.feasible():
+            return ()
+        admits = self.admits
+        return _summed_census([census for key, census
+                               in _btdeg_census_all(self.b, self.n).items()
+                               if admits is None or admits(*key)])
 
     def rotate(self, member, steps: int):
         """The tree-rooted map rotation; b-trees and matchings override it."""
@@ -173,10 +179,6 @@ class BT(_Maps, name="bt", guard=5):
 
     def rotate(self, member, steps: int):
         return rotate_btree(member, steps)
-
-    def _census(self, kind):
-        """The one-walk b-tree census, summed over degree distributions."""
-        return _summed_census(_btdeg_census_all(self.b, self.n).values())
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(self.b, self.n, d)
@@ -206,12 +208,6 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
     def admits(self, degrees, root_degree) -> bool:
         return degrees == self.degrees
 
-    def _census(self, kind):
-        """This degree distribution's group of the one-walk b-tree census."""
-        if not self.feasible():
-            return ()
-        return _btdeg_census_all(self.b, self.n).get(self.degrees, ())
-
     def fix_closed(self, d: int) -> int:
         return _degrees_fix(self.word_length, self.b, self.degrees, d)
 
@@ -219,13 +215,21 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
 class _Decoupled(_Maps):
     """Tree-rooted maps as (b-tree with 2j buds, matching of the buds)
     pairs, by `compose`: fixed points multiply over the parts.  Only a
-    `TMDeg` census composes them; a `TMij` census sums its classes'."""
+    `TMDeg` census composes them; a `TMij` census sums its classes', and a
+    `TMn` census its `TMij` parts'."""
 
     def members(self):
         matchings = list(NCM(self.j).members())
         for bt in self._btrees().members():
             for m in matchings:
                 yield compose(bt, m)
+
+    def _census(self, kind):
+        """The census by enumeration: each member paired with the period of
+        its arc offsets and given one literal rotation."""
+        return period_census(((m, cyclic_period(arc_offsets(m.word)))
+                              for m in enumerate_maps(self)),
+                             self.order(), self.rotate)
 
 
 class TMij(_Decoupled, name="tm_ij", guard=5):
@@ -260,7 +264,7 @@ def _tm_fix(i: int, j: int, d: int) -> int:
     return _btree_fix(2 * j, i, d) * _btree_fix(0, j, d)
 
 
-class TMn(_Maps, name="tm_n", guard=5):
+class TMn(_Decoupled, name="tm_n", guard=5):
     n: int
 
     def __post_init__(self):
@@ -309,8 +313,9 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
 
 class NCM(_Maps, name="ncm", guard=5):
     """Non-crossing matchings of 2j points, turned by `rotate_ncm`.  Their
-    words are the b-tree words with no buds, so the brute-force census is
-    the b = 0 b-tree walk: it builds no matching and does not exercise
+    words are the b-tree words with no buds, so the member list and the
+    brute-force census are those of the b = 0 walk at n = j, like
+    `BT(0, j)`'s: the census builds no matching and does not exercise
     `rotate_ncm`, which the divisor-trial census test checks instead."""
 
     j: int
@@ -325,11 +330,6 @@ class NCM(_Maps, name="ncm", guard=5):
 
     def rotate(self, member, steps: int):
         return rotate_ncm(member, steps)
-
-    def _census(self, kind):
-        """The b = 0 walk: a matching's word is a b-tree word with no buds,
-        and `rotate_ncm` re-roots it."""
-        return BT(0, self.j).census()
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.j, d)
@@ -404,14 +404,11 @@ def closed_count_maps(family) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _btdeg_census_all(b: int, n: int) -> dict:
-    """Period census of BT(b, n) grouped by degree distribution: the periods
-    of one b-tree walk, `trees._btree_walk`, that keeps no words, counted
-    over the root-degree groups of each distribution."""
-    by_degrees: dict[tuple[int, ...], Counter] = {}
-    for (degrees, _), (_, periods) in _btree_walk(b, n, words=False)[0].items():
-        by_degrees.setdefault(degrees, Counter()).update(periods)
-    return {degrees: tuple(sorted(counts.items()))
-            for degrees, counts in by_degrees.items()}
+    """Period census of BT(b, n) by walk group, keyed like the word table
+    by (degree distribution, root degree): the periods of one b-tree walk,
+    `trees._btree_walk`, that keeps no words, counted in each group."""
+    return {key: tuple(sorted(Counter(periods).items()))
+            for key, (_, periods) in _btree_walk(b, n, words=False)[0].items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:

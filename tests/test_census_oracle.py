@@ -107,20 +107,23 @@ def test_map_census_matches_divisor_trial():
 
 def test_btree_walk_census_matches_divisor_trial():
     """Every group of the one-walk b-tree census, b + n <= 7, against the
-    divisor-trial census of the members of that degree distribution."""
+    divisor-trial census of the members of its degree distribution that
+    have its root degree."""
     for b in range(0, MAX_N + 1):
         for n in range(0, MAX_N + 1 - b):
-            for degrees, got in maps._btdeg_census_all(b, n).items():
+            for (degrees, root_degree), got in maps._btdeg_census_all(b, n).items():
                 # the bare node (b = n = 0) has distribution (), which BTDeg
                 # reads as n = -1; its one member is the empty word of BT(0, 0)
                 family = BTDeg(b, degrees) if b + n else BT(0, 0)
-                oracle = divisor_trial_census(list(maps.enumerate_maps(family)),
-                                              2 * n + b, family.rotate)
-                assert got == oracle, (b, n, degrees)
+                members = [m for m in maps.enumerate_maps(family)
+                           if trees.node_degrees(m.word)[0] == root_degree]
+                assert members, (b, n, degrees, root_degree)
+                oracle = divisor_trial_census(members, 2 * n + b, family.rotate)
+                assert got == oracle, (b, n, degrees, root_degree)
             assert BT(b, n).census() == divisor_trial_census(
                 list(maps.enumerate_maps(BT(b, n))), 2 * n + b,
                 BT(b, n).rotate), (b, n)
-    assert maps._btdeg_census_all(0, 0) == {(): ((1, 1),)}
+    assert maps._btdeg_census_all(0, 0) == {((), 0): ((1, 1),)}
     assert maps._btdeg_census_all(-1, 2) == {}
     assert maps._btdeg_census_all(2, -1) == {}
 
@@ -228,17 +231,61 @@ def offset_census(words):
 
 def test_btree_walk_carries_its_degree_distribution():
     """The walk groups every word of BT(3, 4) as a parse of each word does:
-    by (degree distribution, root degree), and by distribution alone in
-    `_btdeg_census_all`."""
-    table = reference_table(3, 4)
+    by (degree distribution, root degree), and `_btdeg_census_all` keeps
+    one census per group."""
+    expected = {key: offset_census(words)
+                for key, words in reference_table(3, 4).items()}
     groups, _ = trees._btree_walk(3, 4, words=False)
-    assert {key: period_counts(periods) for key, (_, periods) in groups.items()} == \
-        {key: offset_census(words) for key, words in table.items()}
-    by_degrees = {}
-    for (degrees, _), words in table.items():
-        by_degrees.setdefault(degrees, []).extend(words)
-    assert maps._btdeg_census_all(3, 4) == \
-        {degrees: offset_census(words) for degrees, words in by_degrees.items()}
+    assert {key: period_counts(periods)
+            for key, (_, periods) in groups.items()} == expected
+    assert maps._btdeg_census_all(3, 4) == expected
+
+
+def test_btree_census_is_keyed_like_the_word_table():
+    """The census walk and the word-table walk find the same groups, in
+    the same order, so a family's census and its member list read the same
+    keys."""
+    for b in range(0, MAX_N + 1):
+        for n in range(0, MAX_N + 1 - b):
+            assert list(maps._btdeg_census_all(b, n)) == \
+                list(trees._words_by_degrees(b, n)[0]), (b, n)
+
+
+def test_matching_census_is_the_bare_btree_census():
+    """A cold `NCM(j)` census is the b = 0 walk's, read through no other
+    family: it is the one census-cache miss, and equals `BT(0, j)`'s."""
+    cache = rotations._period_census
+    try:
+        for j in range(0, 9):
+            cache.cache_clear()
+            maps._btdeg_census_all.cache_clear()
+            census = NCM(j).census()
+            assert cache.cache_info().misses == 1, j
+            assert census == BT(0, j).census(), j
+    finally:
+        cache.cache_clear()
+        maps._btdeg_census_all.cache_clear()
+
+
+def test_infeasible_btree_census_runs_no_walk(monkeypatch):
+    """No b-tree with 2 edges and 2 buds has three nodes of degree 1: the
+    census is empty, and no walk is run to find that out."""
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked an infeasible family")
+
+    family = BTDeg(2, (3,))
+    assert not family.feasible()
+    rotations._period_census.cache_clear()
+    maps._btdeg_census_all.cache_clear()
+    trees._words_by_degrees.cache_clear()
+    # `maps` holds its own binding of the walk
+    monkeypatch.setattr(trees, "_btree_walk", no_walk)
+    monkeypatch.setattr(maps, "_btree_walk", no_walk)
+    try:
+        assert family.census() == ()
+        assert list(family.members()) == []
+    finally:
+        rotations._period_census.cache_clear()
 
 
 def test_word_table_matches_the_reference():
@@ -336,7 +383,8 @@ def test_btree_distributions_are_the_census_keys():
     for b in range(0, 9):
         for n in range(0, 9 - b):
             listed = maps.btree_degree_distributions(b, n)
-            assert listed == sorted(maps._btdeg_census_all(b, n)), (b, n)
+            assert listed == sorted({d for d, _ in maps._btdeg_census_all(b, n)}), \
+                (b, n)
             if 2 * n + b <= 10:
                 assert listed == sorted({d for d, _ in reference_table(b, n)}), (b, n)
 

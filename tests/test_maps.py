@@ -173,6 +173,32 @@ class TestCounts:
                 TMDeg(4 - i, degrees).census()
         assert len(composed) == 588
 
+    def test_tree_rooted_maps_listed_independently(self):
+        """Every word of length 2n <= 8 over EWNS whose E/W letters and
+        N/S letters each balance, found by brute force with two counters:
+        they are the members of TMn(n) and, split by E count, of TMij."""
+        def balanced(word):
+            tree = other = 0
+            for ch in word:
+                tree += {"E": 1, "W": -1}.get(ch, 0)
+                other += {"N": 1, "S": -1}.get(ch, 0)
+                if tree < 0 or other < 0:
+                    return False
+            return tree == other == 0
+
+        for n in range(0, 5):
+            words = sorted("".join(w) for w in itertools.product("EWNS", repeat=2 * n)
+                           if balanced(w))
+            listed = [m.word for m in TMn(n).members()]
+            assert len(listed) == len(set(listed)) and sorted(listed) == words, n
+            for i in range(0, n + 1):
+                members = list(TMij(i, n - i).members())
+                part = [m.word for m in members]
+                assert len(part) == len(set(part)), (i, n)
+                assert sorted(part) == [w for w in words if w.count("E") == i], (i, n)
+                for m in members:
+                    assert compose(*decompose(m)) == m
+
     def test_infeasible_degrees_count_zero(self):
         assert closed_count_maps(BTDeg(0, (1,))) == 0
         # () reads as n = -1 edges: no words, and no walk over the buds
