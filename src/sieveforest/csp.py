@@ -148,7 +148,7 @@ def build_instance(theorem: str, **params) -> CspInstance:
             {**params, "family": spec.family.name})
         if not family.feasible():
             raise ValueError(f"{family} has no members")
-        order = family.order(family.kind)
+        order = family.order()
         if order <= 0:
             raise ValueError(f"the rotation of {family} has order {order}")
         check_word_length(family)

@@ -40,7 +40,7 @@ tree-rooted map families (`_Decoupled`) list compositions.  Only a
 `TMDeg` census enumerates maps, pairing each with the period of its arc
 offsets; a `TMij` census sums its degree classes' and a `TMn` census its
 `TMij` parts', each through `family.census()`, the one census cache of
-every family (`rotations._period_census`, keyed (family, None) here), so
+every family (`rotations._period_census`, cached under (family)), so
 each map is composed and rotated once per process.
 """
 from __future__ import annotations
@@ -153,7 +153,7 @@ class _Maps(Family):
 
     kind = None
 
-    def _census(self, kind):
+    def _census(self):
         """The b-tree census: the sum of the walk groups of
         `_btdeg_census_all(b, n)` that the family admits, the groups its
         `members()` lists; none, and no walk, unless `feasible()`."""
@@ -224,7 +224,7 @@ class _Decoupled(_Maps):
             for m in matchings:
                 yield compose(bt, m)
 
-    def _census(self, kind):
+    def _census(self):
         """The census by enumeration: each member paired with the period of
         its arc offsets and given one literal rotation."""
         return period_census(((m, cyclic_period(arc_offsets(m.word)))
@@ -246,11 +246,11 @@ class TMij(_Decoupled, name="tm_ij", guard=5):
     def _btrees(self):
         return BT(2 * self.j, self.i)
 
-    def _census(self, kind):
+    def _census(self):
         """Summed over the tree part's degree classes, buds included; the
         one-vertex map has no class and is enumerated."""
         if self.n == 0:
-            return super()._census(kind)
+            return super()._census()
         return _summed_census(TMDeg(self.j, d).census()
                               for d in degree_solutions(self.i + 1, 2 * self.n))
 
@@ -274,7 +274,7 @@ class TMn(_Decoupled, name="tm_n", guard=5):
         for i in range(self.n + 1):
             yield from TMij(i, self.n - i).members()
 
-    def _census(self, kind):
+    def _census(self):
         """The sum of the `TMij(i, n - i)` censuses."""
         return _summed_census(TMij(i, self.n - i).census()
                               for i in range(self.n + 1))

@@ -19,15 +19,15 @@ enumeration from the family's census, and from its closed form), and the
 transfer check relating fixedness under a restricted rotation to fixedness
 under a power of the ordinary one.
 
-`Family.census(kind)` reads `_period_census`, which caches
-`family._census(kind)` under (family, kind); a map family's kind is None.
-The censuses nest through it.  A plane-tree family's census is the sum of
-the censuses of the groups of the word table `trees._words_by_degrees(0, n)`
-that it admits.  Under the ordinary kind a group's census counts the
-periods the table records; under a restricted kind it is `_group_census`,
-cached per group and kind, which turns each member once.  So the leaf-count
-and degree families that share a group share its rotations.  `AllTrees`
-keeps the census that lists, pairs and rotates every member.
+Each family is ordered and censused under its own kind only:
+`Family.census()` reads `_period_census`, `family._census()` cached
+under (family), and the censuses nest through it.  A plane-tree family's
+census sums the word-table groups (`trees._words_by_degrees(0, n)`) it
+admits.  Under the ordinary kind a group's census counts the periods the
+table records; under a restricted kind it is `_group_census`, cached per
+group and kind, which turns each member once, so the leaf-count and degree
+families that share a group share its rotations.  `AllTrees` keeps the
+census that lists, pairs and rotates every member.
 """
 from __future__ import annotations
 
@@ -77,24 +77,22 @@ def orbit(tree: PlaneTree, kind: RotationKind) -> list[PlaneTree]:
 
 
 class FixQuery(_Value):
+    """The e-th power of the family's rotation.  Its kind must be the
+    family's own, None for a map family: any other is refused."""
     family: trees.Family
-    kind: "RotationKind | None"  # the family's own kind, None for a map family
+    kind: "RotationKind | None"
     e: int
 
-    def __init__(self, family: trees.Family, kind: "RotationKind | None", e: int):
-        put = object.__setattr__
-        put(self, "family", family)
-        put(self, "kind", kind)
-        put(self, "e", e)
+    def __post_init__(self):
+        if self.kind is not self.family.kind and self.kind != self.family.kind:
+            raise IncompatibleKind(f"{self.kind} does not act on {self.family}")
 
 
 @functools.lru_cache(maxsize=None)
-def _period_census(family: trees.Family,
-                   kind: "RotationKind | None") -> tuple[tuple[int, int], ...]:
+def _period_census(family: trees.Family) -> tuple[tuple[int, int], ...]:
     """((period, member count), ...) over the family; periods divide the
-    order: `family._census(kind)`, the one cache of every family's census
-    (a map family's key is (family, None))."""
-    return family._census(kind)
+    order: `family._census()`, the one cache of every family's census."""
+    return family._census()
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,7 +112,7 @@ def _group_census(n: int, key: tuple,
 def fix_count_bruteforce(query: FixQuery) -> int:
     """Count members fixed by the e-th power of the rotation, by enumeration:
     those whose period, in the family's census, divides e."""
-    census = query.family.census(query.kind)
+    census = query.family.census()
     return sum(c for p, c in census if query.e % p == 0)
 
 
@@ -126,7 +124,7 @@ def fix_count_closed(query: FixQuery) -> int:
     root of unity; d = 1, as under a rotation of order 0, fixes the whole
     family.
     """
-    order = query.family.order(query.kind)
+    order = query.family.order()
     return query.family.fix_closed(order // gcd(query.e, order) if order else 1)
 
 
@@ -135,7 +133,7 @@ def check_rotation_transfer(family: trees.Family, e: int) -> bool:
     ordinary rotation power 2n/d, d = order/e; when d does not divide 2n both
     fixed sets must be empty."""
     kind = family.kind
-    order = family.order(kind)
+    order = family.order()
     if order % e != 0:
         raise ValueError(f"e={e} does not divide the group order {order}")
     d = order // e

@@ -29,21 +29,22 @@ subtrees + ')'.
 
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
-corner must be one the kind visits.  Its members, the order of each kind
-acting on it, and its counts all follow from these two.  So does its
-census: every family, under every kind, is a union of word-table groups,
-and its census is the sum of theirs (`_summed_census`).  An ordinary
+corner must be one the kind visits.  Its members, the order of its kind
+(the corners the kind visits) and its counts all follow from these two.
+So does its census: every family is a union of word-table groups, and
+its census is the sum of theirs (`_summed_census`).  An ordinary
 group's census counts the periods the table records; a restricted group's
 turns each member once and is cached per group and kind
 (`rotations._group_census`), so families that share a group share its
 rotations.  `AllTrees` alone lists its members and pairs each with the
 period of its word in the table (`_paired`).
 
-Every family, tree or map, has one census path: `Family.census(kind)`
-reads the one cache, `rotations._period_census`, which calls the family's
-`_census(kind)`.  Every census that rotates members hands (member, period)
-pairs to `period_census`, which scales each period to the kind's order and
-confirms it by one literal rotation.
+Every family, tree or map, is one (set, action) pair, ordered and censused
+under its own kind only, and has one census path: `Family.census()` reads
+the one cache, `rotations._period_census`, cached under (family), which
+calls the family's `_census()`.  Every census that rotates members hands
+(member, period) pairs to `period_census`, which scales each period to the
+kind's order and confirms it by one literal rotation.
 """
 from __future__ import annotations
 
@@ -624,7 +625,9 @@ LEAF = RotationKind("leaf")
 INTERNAL = RotationKind("internal")
 
 
+@functools.lru_cache(maxsize=None)
 def degree_kind(delta: int) -> RotationKind:
+    """One value per delta: a `RootDegree`'s kind at every read."""
     if delta < 1:
         raise ValueError("degree class must be >= 1")
     return RotationKind("degree", delta)
@@ -673,13 +676,14 @@ class Family(_Value):
                     parameters alone, never a closed form (True by default);
       members()     every member once, in a fixed order, by enumeration;
       kind          the rotation its theorem uses (None for map families,
-                    which have one rotation);
-      order(kind)   the order of that rotation (the word length by default);
-      census(kind)  ((period, member count), ...) by enumeration: the
+                    which have one rotation): the family is one (set,
+                    action) pair, ordered and censused under this kind only;
+      order()       the order of that rotation (the word length by default);
+      census()      ((period, member count), ...) by enumeration: the
                     least rotation power fixing each member, cached by
-                    `rotations._period_census` under (family, kind) and
-                    made by the family's `_census(kind)`; a family that is
-                    a disjoint union sums its parts' censuses;
+                    `rotations._period_census` under (family) and made by
+                    the family's `_census()`; a family that is a disjoint
+                    union sums its parts' censuses;
       fix_closed(d) from a formula, the members fixed by a rotation power
                     of order d, for every d dividing the order;
       count()       the number of members: fix_closed(1).
@@ -725,12 +729,12 @@ class Family(_Value):
             for word in words:
                 yield self.member(word)
 
-    def order(self, kind=None) -> int:
+    def order(self) -> int:
         return self.word_length
 
-    def census(self, kind=None):
+    def census(self):
         from . import rotations  # which imports this module
-        return rotations._period_census(self, kind)
+        return rotations._period_census(self)
 
     def count(self) -> int:
         return self.fix_closed(1)
@@ -764,16 +768,16 @@ class _PlaneTrees(Family):
 
     kind = ORDINARY
 
-    def _census(self, kind: RotationKind):
+    def _census(self):
         """The sum of the censuses of the groups of the word table
         `_words_by_degrees(0, n)` that the family admits, whose root corner
-        every kind acting on it visits.  Under the ordinary kind a group's
+        its kind visits.  Under the ordinary kind a group's
         census counts the periods the table records: the walk re-rooted each
         word whose P is below 2n, and re-rooting by the whole tour is the
         identity.  Under a restricted kind it is the group's
         `rotations._group_census`, at the group's own count of eligible
         corners, which must be the family's order."""
-        order = self.order(kind)
+        kind, order = self.kind, self.order()
         if not self.feasible():
             return ()
         from . import rotations
@@ -791,21 +795,6 @@ class _PlaneTrees(Family):
                         f"{self} has order {order} under {kind}, but its members with "
                         f"degrees {key[0]} have {kind.corners(key[0])} such corners")
         return _summed_census(groups())
-
-    def order(self, kind: RotationKind) -> int:
-        """2n for the ordinary rotation, which acts on any word; else the
-        number of corners the kind visits, which is the same in every member."""
-        if kind.name == "ordinary":
-            return super().order(kind)
-        if kind != self.kind and not (kind == LEAF and self.kind == degree_kind(1)):
-            raise IncompatibleKind(f"{kind} does not act on {self}")
-        if kind.name == "degree":
-            return kind.delta * self._nodes_of_degree(kind.delta)
-        order = self.leaves if kind == LEAF else 2 * self.n - self.leaves
-        if order < 0:
-            raise ValueError(f"{self}: the {kind} rotation would have the "
-                             f"negative order {order}")
-        return order
 
 
 class AllTrees(_PlaneTrees, name="all_trees"):
@@ -829,15 +818,15 @@ class AllTrees(_PlaneTrees, name="all_trees"):
             if self.admits(st.degrees, st.root_degree):
                 yield t
 
-    def _census(self, kind: RotationKind):
+    def _census(self):
         # listed, paired with the word table and rotated member by member,
         # not summed over the groups: the benchmark's self-test pins this
         # path's listing, its `stats` scan and its one census miss.  It
         # joins the groups when the scan goes (ROADMAP item 1a).
         from . import rotations
         return period_census(_paired(enumerate_family(self), *_admitted(0, self.n)),
-                             self.order(kind),
-                             lambda t, p: rotations.rotate(t, kind, p))
+                             self.order(),
+                             lambda t, p: rotations.rotate(t, ORDINARY, p))
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.n, d)
@@ -853,9 +842,14 @@ class _ByLeafCount(_PlaneTrees):
     def __post_init__(self):
         _check_sizes(self, "n")
 
-    @property
-    def leaves(self) -> int:
-        return self.k
+    def order(self) -> int:
+        """The corners the kind visits: the k leaf, 2n - k internal or all 2n."""
+        n2, k = 2 * self.n, self.k
+        order = k if self.kind == LEAF else n2 - k if self.kind == INTERNAL else n2
+        if order < 0:
+            raise ValueError(f"{self}: the {self.kind} rotation would have the "
+                             f"negative order {order}")
+        return order
 
     def feasible(self) -> bool:
         # leaves: the bare node none, '()' two, a larger tree two (a path) to n (a star)
@@ -881,7 +875,7 @@ class _ByLeafCount(_PlaneTrees):
             part, den = comb(n // d - 1, k // d - 1) * comb(n // d, k // d), n
         else:
             return 0
-        return _as_int(self.order(self.kind) * part, den)
+        return _as_int(self.order() * part, den)
 
 
 class ByLeaves(_ByLeafCount, name="by_leaves"):
@@ -908,13 +902,9 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
     def n(self) -> int:
         return sum(i * c for i, c in enumerate(self.degrees, start=1)) // 2
 
-    @property
-    def leaves(self) -> int:
-        return self._nodes_of_degree(1)
-
-    def _nodes_of_degree(self, i: int) -> int:
-        """degrees[i-1]: 0 past the end of the list."""
-        return self.degrees[i - 1] if i <= len(self.degrees) else 0
+    def order(self) -> int:
+        """The corners the kind visits: a node of degree i has i."""
+        return self.kind.corners(self.degrees)
 
     def feasible(self) -> bool:
         return _degrees_feasible(self.degrees)
@@ -926,7 +916,7 @@ class _ByDegreeCounts(_PlaneTrees, guard=9):
         # an infeasible list may have no order for its kind, and no members
         if not self.feasible():
             return 0
-        return _degrees_fix(self.order(self.kind), 0, self.degrees, d)
+        return _degrees_fix(self.order(), 0, self.degrees, d)
 
 
 class ByDegrees(_ByDegreeCounts, name="by_degrees"):

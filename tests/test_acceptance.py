@@ -251,7 +251,7 @@ class TestCriterion8:
                     if c:
                         fams.append(RootDegree(degrees, delta))
             for fam in fams:
-                order = fam.order(fam.kind)
+                order = fam.order()
                 for e in range(1, order + 1):
                     if order % e == 0:
                         assert check_rotation_transfer(fam, e), (fam, e)

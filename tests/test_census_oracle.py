@@ -12,8 +12,7 @@ import pytest
 
 from sieveforest import maps, rotations, trees
 from sieveforest.maps import BT, BTDeg, NCM, TMDeg, TMij, TMn
-from sieveforest.rotations import (INTERNAL, LEAF, ORDINARY, FixQuery,
-                                   degree_kind, fix_count_bruteforce,
+from sieveforest.rotations import (ORDINARY, FixQuery, fix_count_bruteforce,
                                    fix_count_closed, rotate)
 from sieveforest.trees import (AllTrees, ByDegrees, ByLeaves, InternalRooted,
                                InternalRootedDeg, LeafRooted, LeafRootedDeg,
@@ -34,56 +33,68 @@ def divisor_trial_census(members, order, rotate_by):
 
 
 def tree_families(n):
-    """Every tree family at size n, paired with each kind acting on it."""
-    out = [(AllTrees(n), ORDINARY)]
+    """Every tree family at size n, each under its own kind."""
+    out = [AllTrees(n)]
     for k in range(0, n + 2):
-        out += [(ByLeaves(n, k), ORDINARY),
-                (LeafRooted(n, k), ORDINARY), (LeafRooted(n, k), LEAF),
-                (InternalRooted(n, k), ORDINARY), (InternalRooted(n, k), INTERNAL)]
+        out += [ByLeaves(n, k), LeafRooted(n, k), InternalRooted(n, k)]
     for degrees in degree_distributions(n):
-        out += [(ByDegrees(degrees), ORDINARY),
-                (LeafRootedDeg(degrees), ORDINARY), (LeafRootedDeg(degrees), LEAF),
-                (LeafRootedDeg(degrees), degree_kind(1)),
-                (InternalRootedDeg(degrees), ORDINARY),
-                (InternalRootedDeg(degrees), INTERNAL)]
-        for delta, count in enumerate(degrees, start=1):
-            if count:
-                out += [(RootDegree(degrees, delta), ORDINARY),
-                        (RootDegree(degrees, delta), degree_kind(delta))]
+        out += [ByDegrees(degrees), LeafRootedDeg(degrees), InternalRootedDeg(degrees)]
+        out += [RootDegree(degrees, delta)
+                for delta, count in enumerate(degrees, start=1) if count]
     return out
 
 
 def test_tree_census_matches_divisor_trial():
     checked = set()
     for n in range(0, MAX_N + 1):
-        for family, kind in tree_families(n):
+        for family in tree_families(n):
             members = list(enumerate_family(family))
             if not members:
                 continue
+            kind = family.kind
             oracle = divisor_trial_census(
-                members, family.order(kind),
+                members, family.order(),
                 lambda t, p: rotate(t, kind, p))
-            assert rotations._period_census(family, kind) == oracle, (family, kind)
+            assert rotations._period_census(family) == oracle, family
             checked.add((type(family).__name__, kind.name))
     assert len({name for name, _ in checked}) == 8
-    assert len(checked) == 14
+    assert len(checked) == 8
 
 
 def test_closed_form_matches_census_for_every_kind():
-    """Every (family, kind) pair, the empty families included, at every
-    exponent.  An order that would be negative is refused, and only an
-    empty family can have one."""
+    """Every family under its own kind, the empty families included, at
+    every exponent.  An order that would be negative is refused, and only
+    an empty family can have one."""
     for n in range(0, MAX_N + 1):
-        for family, kind in tree_families(n):
+        for family in tree_families(n):
             try:
-                order = family.order(kind)
+                order = family.order()
             except ValueError:
-                assert not list(enumerate_family(family)), (family, kind)
+                assert not list(enumerate_family(family)), family
                 continue
             for e in range(max(order, 1)):
-                query = FixQuery(family, kind, e)
+                query = FixQuery(family, family.kind, e)
                 assert fix_count_closed(query) == fix_count_bruteforce(query), \
-                    (family, kind, e)
+                    (family, e)
+
+
+def test_transfer_lemma_at_census_level():
+    """A member of a leaf, internal or degree-delta family is fixed by the
+    ordinary rotation of order d exactly when its own rotation of order d
+    fixes it, and none is when d does not divide that rotation's order: at
+    each d | 2n, the ordinary divisor-trial census counts `fix_closed(d)`."""
+    checked = 0
+    for n in range(0, MAX_N + 1):
+        for family in tree_families(n):
+            if family.kind == ORDINARY:
+                continue
+            census = divisor_trial_census(list(family.members()), 2 * n,
+                                          lambda t, p: rotate(t, ORDINARY, p))
+            for d in [d for d in range(1, 2 * n + 1) if 2 * n % d == 0] or [1]:
+                fixed = sum(c for p, c in census if (2 * n // d) % p == 0)
+                assert fixed == family.fix_closed(d), (family, d)
+                checked += 1
+    assert checked == 948
 
 
 def map_families():
@@ -173,7 +184,7 @@ def test_tree_census_confirms_every_period(monkeypatch):
     monkeypatch.setattr(rotations, "rotate", lambda t, kind, steps: PlaneTree())
     try:
         with pytest.raises(AssertionError):
-            rotations._period_census(AllTrees(3), ORDINARY)
+            rotations._period_census(AllTrees(3))
     finally:
         rotations._period_census.cache_clear()
 
@@ -203,8 +214,8 @@ def test_census_fails_on_a_wrong_period():
 
 
 def test_every_family_census_has_one_cache():
-    """Tree and map censuses share one cache, under both its names; a map
-    census is keyed (family, None)."""
+    """Tree and map censuses share one cache, under both its names, keyed
+    by the family alone."""
     assert maps._map_period_census is rotations._period_census
     cache = rotations._period_census
     cache.cache_clear()
@@ -213,7 +224,7 @@ def test_every_family_census_has_one_cache():
         for i in range(4):
             before = cache.cache_info()
             census = TMij(i, 3 - i).census()
-            assert cache(TMij(i, 3 - i), None) is census
+            assert cache(TMij(i, 3 - i)) is census
             after = cache.cache_info()
             assert (after.hits, after.misses) == (before.hits + 2, before.misses), i
     finally:
@@ -352,7 +363,7 @@ def test_tree_census_fails_unless_the_members_are_the_table_words(monkeypatch):
             monkeypatch.setattr(trees, "enumerate_family",
                                 lambda family, members=members: iter(members))
             with pytest.raises(AssertionError, match="word table"):
-                rotations._period_census(AllTrees(3), ORDINARY)
+                rotations._period_census(AllTrees(3))
     finally:
         rotations._period_census.cache_clear()
 
@@ -398,19 +409,20 @@ def test_btree_distributions_of_one_node_with_many_buds():
 def test_enumeration_order_and_membership_unchanged():
     for n in range(0, MAX_N + 1):
         parsed = [(w, stats(PlaneTree(w))) for w in reference_words(0, n)]
-        for family in {family for family, _ in tree_families(n)}:
+        for family in set(tree_families(n)):
             expected = [w for w, st in parsed
                         if family.admits(st.degrees, st.root_degree)]
             assert [t.word for t in enumerate_family(family)] == expected, family
 
 
-def listed_census(family, kind):
+def listed_census(family):
     """The census that lists the members, pairs each with the period the
     word table records at its place and rotates it once: `AllTrees`'s."""
     table = (trees._admitted(0, family.n, family.admits) if family.feasible()
              else ((), ()))
     return trees.period_census(trees._paired(enumerate_family(family), *table),
-                               family.order(kind), lambda t, p: rotate(t, kind, p))
+                               family.order(),
+                               lambda t, p: rotate(t, family.kind, p))
 
 
 @pytest.fixture
@@ -438,31 +450,32 @@ def counted_rotations(monkeypatch):
 
 def test_walk_groups_give_every_tree_census(cold_censuses):
     """The groups of the b = 0 census walk that a family admits, each period
-    P scaled to order * P / 2n, sum to the family's census for each kind,
+    P scaled to order * P / 2n, sum to the family's census under its kind,
     and so do the census that lists and rotates every member and the
     divisor-trial census, the empty families included."""
     checked = 0
     for n in range(0, MAX_N + 1):
         groups, _ = trees._btree_walk(0, n, words=False)
-        for family, kind in tree_families(n):
+        for family in tree_families(n):
             try:
-                order = family.order(kind)
+                order = family.order()
             except ValueError:
                 continue
+            kind = family.kind
             counts = {}
             for key, (_, periods) in groups.items():
                 if family.admits(*key):
                     for p in periods:
                         p = order * p // (2 * n) if n else 1
                         counts[p] = counts.get(p, 0) + 1
-            got = rotations._period_census(family, kind)
-            assert got == tuple(sorted(counts.items())), (family, kind)
-            assert got == listed_census(family, kind), (family, kind)
+            got = rotations._period_census(family)
+            assert got == tuple(sorted(counts.items())), family
+            assert got == listed_census(family), family
             assert got == divisor_trial_census(
                 list(enumerate_family(family)), order,
-                lambda t, p: rotate(t, kind, p)), (family, kind)
+                lambda t, p: rotate(t, kind, p)), family
             checked += 1
-    assert checked == 557
+    assert checked == 304
 
 
 def test_restricted_group_census_confirms_every_period(monkeypatch, cold_censuses):
@@ -470,22 +483,22 @@ def test_restricted_group_census_confirms_every_period(monkeypatch, cold_censuse
     back another tree fails it."""
     monkeypatch.setattr(rotations, "rotate", lambda t, kind, steps: PlaneTree())
     with pytest.raises(AssertionError, match="not fixed"):
-        rotations._period_census(LeafRooted(4, 3), LEAF)
+        rotations._period_census(LeafRooted(4, 3))
 
 
 def test_restricted_census_checks_the_order_against_each_group(
         monkeypatch, cold_censuses):
     """A family whose order under its kind is not the number of corners
     the kind visits in its members fails the census."""
-    monkeypatch.setattr(LeafRooted, "order", lambda self, kind: self.k + 1)
+    monkeypatch.setattr(LeafRooted, "order", lambda self: self.k + 1)
     with pytest.raises(AssertionError, match="corners"):
-        rotations._period_census(LeafRooted(4, 3), LEAF)
+        rotations._period_census(LeafRooted(4, 3))
 
 
 def test_restricted_census_turns_each_member_once(monkeypatch, cold_censuses):
     family = InternalRooted(10, 6)
     calls = counted_rotations(monkeypatch)
-    census = rotations._period_census(family, INTERNAL)
+    census = rotations._period_census(family)
     assert len(calls) == len(set(calls)) == family.count() == sum(c for _, c in census)
 
 
@@ -495,12 +508,11 @@ def test_degree_census_reuses_the_leaf_count_groups(monkeypatch, cold_censuses):
     ones make no rotation, and agree with the listed census."""
     n = 6
     for k in range(2, n + 1):
-        rotations._period_census(InternalRooted(n, k), INTERNAL)
+        rotations._period_census(InternalRooted(n, k))
     calls = counted_rotations(monkeypatch)
     for degrees in degree_distributions(n):
         family = InternalRootedDeg(degrees)
-        assert rotations._period_census(family, INTERNAL) == \
-            listed_census(family, INTERNAL), degrees
+        assert rotations._period_census(family) == listed_census(family), degrees
         assert calls == [], degrees
 
 

@@ -83,7 +83,7 @@ def ref_leaf_count(f, d):
             return int(k == 2 * n and f.kind.eligible(n))
         if not 2 <= k <= n + 1:
             return 0
-        return ref_as_int(f.order(f.kind) * comb(n - 1, k - 2) * comb(n, k),
+        return ref_as_int(f.order() * comb(n - 1, k - 2) * comb(n, k),
                           n * (n - 1))
     if n <= 1 or not 2 <= k <= n + 1:
         return ref_leaf_count(f, None)
@@ -96,7 +96,7 @@ def ref_leaf_count(f, d):
         part, den = comb(n // d - 1, k // d - 1) * comb(n // d, k // d), n
     else:
         return 0
-    return ref_as_int(f.order(f.kind) * part, den)
+    return ref_as_int(f.order() * part, den)
 
 
 def ref_by_degrees(f, d):
@@ -104,7 +104,7 @@ def ref_by_degrees(f, d):
     if not ref_degrees_feasible(degrees):
         return 0
     if d is None:
-        return ref_as_int(f.order(f.kind) * factorial(n - 1),
+        return ref_as_int(f.order() * factorial(n - 1),
                           prod(map(factorial, degrees)))
     if d == 2 and all(c % 2 == 0 for c in degrees):
         part = ref_multinomial((n + 1) // 2, [c // 2 for c in degrees])
@@ -116,7 +116,7 @@ def ref_by_degrees(f, d):
         parts = [c // d for c in degrees]
         parts[ell - 1] = (degrees[ell - 1] - 1) // d
         part, den = ref_multinomial(n // d, parts), n
-    return ref_as_int(f.order(f.kind) * part, den)
+    return ref_as_int(f.order() * part, den)
 
 
 def ref_bt(b, n, d):
@@ -190,7 +190,7 @@ def check_against_reference(family) -> int:
     with the reference; return the number of values compared."""
     ref = REFERENCE[type(family)]
     assert family.count() == ref(family, None), family
-    order = family.order(family.kind)
+    order = family.order()
     checked = 1
     for d in range(2, order + 1):
         if order % d == 0:
@@ -211,7 +211,7 @@ def size_families():
             for cls in (ByLeaves, LeafRooted, InternalRooted):
                 family = cls(n, k)
                 try:
-                    family.order(family.kind)
+                    family.order()
                 except ValueError:  # a negative order: no members
                     assert family.count() == ref_leaf_count(family, None) == 0
                     continue

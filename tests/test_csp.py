@@ -158,7 +158,7 @@ class TestBuildInstance:
                 family = None
             if family is not None and REFERENCE_RANGES[theorem](family):
                 inst = build_instance(theorem, **params)
-                assert inst.order == family.order(family.kind) > 0, (theorem, params)
+                assert inst.order == family.order() > 0, (theorem, params)
                 accepted += 1
             else:
                 with pytest.raises(InfeasibleParams):

@@ -94,30 +94,29 @@ class TestRotate:
 
 class TestOrders:
     def test_order_values(self):
-        assert AllTrees(4).order(ORDINARY) == 8
-        assert LeafRooted(5, 3).order(LEAF) == 3
-        assert InternalRooted(5, 3).order(INTERNAL) == 7
-        assert RootDegree((2, 0, 2), 3).order(degree_kind(3)) == 6
-
-    def test_ordinary_acts_on_any_family(self):
-        assert ByLeaves(5, 3).order(ORDINARY) == 10
+        assert AllTrees(4).order() == 8
+        assert ByLeaves(5, 3).order() == 10
+        assert LeafRooted(5, 3).order() == 3
+        assert InternalRooted(5, 3).order() == 7
+        assert RootDegree((2, 0, 2), 3).order() == 6
 
     def test_incompatible_kind(self):
+        # a family is ordered and counted under its own kind only
         with pytest.raises(IncompatibleKind):
-            LeafRooted(5, 3).order(INTERNAL)
+            FixQuery(LeafRooted(5, 3), INTERNAL, 1)
 
     def test_negative_order_is_refused(self):
         # more leaves than corners: 2n - k < 0 internal corners
         for fam in (InternalRooted(1, 3), InternalRooted(2, 6), InternalRooted(0, 2)):
             with pytest.raises(ValueError, match=f"k={fam.k}"):
-                fam.order(INTERNAL)
+                fam.order()
 
     @pytest.mark.parametrize("fam, kind", [
-        (LeafRootedDeg(()), LEAF), (LeafRootedDeg(()), degree_kind(1)),
-        (InternalRootedDeg(()), INTERNAL)])
+        (LeafRootedDeg(()), degree_kind(1)), (InternalRootedDeg(()), INTERNAL),
+        (ByDegrees(()), ORDINARY)])
     def test_empty_degree_list_has_order_and_counts_zero(self, fam, kind):
-        # no entry for degree 1 counts as no leaves
-        assert fam.order(kind) == 0
+        # no entry for degree 1 counts as no leaves, and no node as no corner
+        assert fam.kind == kind and fam.order() == 0
         for e in (0, 1, 2):
             query = FixQuery(fam, kind, e)
             assert fix_count_bruteforce(query) == fix_count_closed(query) == 0
@@ -128,7 +127,7 @@ class TestFixCounts:
         for n in range(1, 8):
             for fam in tree_families(n):
                 kind = fam.kind
-                order = fam.order(kind)
+                order = fam.order()
                 for e in range(0, 2 * order + 1):
                     q = FixQuery(fam, kind, e)
                     assert fix_count_bruteforce(q) == fix_count_closed(q), (fam, e)
@@ -140,21 +139,19 @@ class TestFixCounts:
             for fam in (ByLeaves(1, k), LeafRooted(1, k), InternalRooted(1, k)):
                 members = list(enumerate_family(fam))
                 assert len(members) == (k == 2 and fam.kind != INTERNAL), fam
-                for kind in {ORDINARY, fam.kind}:
-                    try:
-                        order = fam.order(kind)
-                    except ValueError:
-                        assert k < 0 or k > 2, (fam, kind)
-                        continue
-                    for e in range(order + 1):
-                        query = FixQuery(fam, kind, e)
-                        assert fix_count_bruteforce(query) == len(members)
-                        with monkeypatch.context() as m:
-                            m.setattr(trees, "_btree_walk", None)
-                            m.setattr(trees, "_words_by_degrees", None)
-                            assert fam.count() == len(members), fam
-                            assert fix_count_closed(query) == len(members), \
-                                (fam, kind, e)
+                try:
+                    order = fam.order()
+                except ValueError:
+                    assert k < 0 or k > 2, fam
+                    continue
+                for e in range(order + 1):
+                    query = FixQuery(fam, fam.kind, e)
+                    assert fix_count_bruteforce(query) == len(members)
+                    with monkeypatch.context() as m:
+                        m.setattr(trees, "_btree_walk", None)
+                        m.setattr(trees, "_words_by_degrees", None)
+                        assert fam.count() == len(members), fam
+                        assert fix_count_closed(query) == len(members), (fam, e)
 
     def test_e_zero_gives_family_count(self):
         for fam in (AllTrees(6), ByLeaves(6, 3), InternalRooted(6, 4)):
@@ -179,10 +176,9 @@ class TestTransfer:
     def test_transfer_exhaustive(self):
         for n in range(2, 7):
             for fam in tree_families(n):
-                kind = fam.kind
-                if kind is ORDINARY:
+                if fam.kind == ORDINARY:
                     continue
-                order = fam.order(kind)
+                order = fam.order()
                 for e in range(1, order + 1):
                     if order % e == 0:
                         assert check_rotation_transfer(fam, e), (fam, e)

@@ -94,7 +94,7 @@ class TestFamilies:
         for fam in (ByDegrees((24,)), InternalRootedDeg((0, 2)), BTDeg(1, (0, 2)),
                     ByLeaves(12, 20), LeafRooted(12, 20), InternalRooted(5, 1)):
             assert list(fam.members()) == [] and fam.count() == 0, fam
-            assert fam.census(fam.kind) == (), fam
+            assert fam.census() == (), fam
         for flags in (["--family", "by_degrees", "--degrees", "24"],
                       ["--family", "by_leaves", "--n", "12", "--k", "20"]):
             assert run(["enumerate", *flags, "--size-guard", "12"]) == 0
