@@ -164,7 +164,7 @@ def build_instance(theorem: str, **params) -> CspInstance:
 # Size guard
 
 # Each letter of a member's word takes at most one frame of the recursive
-# b-tree walk (`trees._btree_walk`) that every member list and b-tree census
+# b-tree walk (`trees._btree_walk`) that every member list and word-family census
 # comes from, so longer words would overflow the interpreter's recursion limit.
 # The command line's orbit and biject, whose cost grows as the square of
 # the word length, take no longer words either.

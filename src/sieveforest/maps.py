@@ -21,8 +21,8 @@ Hamiltonian cycle is checked, and moves its root edge, through the map word
 it reads from its root edge.
 
 The six map families implement the `trees.Family` protocol.  Each has one
-rotation (its `kind` is None) of the protocol's default order, the word
-length, and rotates a member with `rotate`.  Their closed forms are the
+rotation (the default `kind`, None) of the protocol's default order, the
+word length, and rotates a member with `rotate`.  Their closed forms are the
 two formulas of `trees`: `_btree_fix` for `BT` and for `NCM`, whose
 matchings have the words of the b-trees with no buds, and `_degrees_fix`
 for `BTDeg`.  The tree-rooted map families decouple into a b-tree family
@@ -32,11 +32,12 @@ of them builds a family object to count.
 The b-tree and matching words all come from the one b-tree walk of
 `trees`, `_btree_walk`, which groups each finished word by (degree
 distribution, root degree) without parsing it.  `BT`, `BTDeg` and `NCM`
-(n = j edges, no buds) give only `b`, `n`, `admits` and their member
-class: the member list is the walk groups they admit, read off the word
-table, and the census (`_Maps._census`) the sum of the same groups'
-censuses in `_btdeg_census_all`, the walk run keeping no words.  The
-tree-rooted map families (`_Decoupled`) list compositions.  Only a
+(n = j edges, no buds) give only `b`, `n`, `admits`, their member class
+and `rotate`: the member list is the walk groups they admit, read off the
+word table, and the census `Family._census`, the sum of the same groups'
+censuses in `trees._census_table` (bound here as `_btdeg_census_all`), so
+at b = 0 a matching or b-tree census reads the plane trees' word table.
+The tree-rooted map families (`_Decoupled`) list compositions.  Only a
 `TMDeg` census enumerates maps, pairing each with the period of its arc
 offsets; a `TMij` census sums its degree classes' and a `TMn` census its
 `TMij` parts', each through `family.census()`, the one census cache of
@@ -45,15 +46,15 @@ each map is composed and rotated once per process.
 """
 from __future__ import annotations
 
-import functools
 import json
-from collections import Counter
 from math import gcd
 
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 # the one family-census cache, under the name the benchmark clears and traces
 from .rotations import _period_census as _map_period_census  # noqa: F401
-from .trees import (Family, _btree_fix, _btree_walk, _check_sizes,
+# the one census table, under the name the benchmark clears and traces
+from .trees import _census_table as _btdeg_census_all  # noqa: F401
+from .trees import (Family, _btree_fix, _check_sizes,
                     _degrees_feasible, _degrees_fix, _normalize_degrees,
                     _reroot, _summed_census, _TourWord, _Value, arc_offsets,
                     catalan, cyclic_period, degree_solutions, matching,
@@ -146,30 +147,7 @@ class TreeRootedMap(_TourWord):
 # Families
 
 
-class _Maps(Family):
-    """Map-side protocol: one rotation (`kind` None) whose order is the word
-    length, `rotate`, which turns a member by a number of steps, and the
-    census of the b-tree walk groups the family lists."""
-
-    kind = None
-
-    def _census(self):
-        """The b-tree census: the sum of the walk groups of
-        `_btdeg_census_all(b, n)` that the family admits, the groups its
-        `members()` lists; none, and no walk, unless `feasible()`."""
-        if not self.feasible():
-            return ()
-        admits = self.admits
-        return _summed_census([census for key, census
-                               in _btdeg_census_all(self.b, self.n).items()
-                               if admits is None or admits(*key)])
-
-    def rotate(self, member, steps: int):
-        """The tree-rooted map rotation; b-trees and matchings override it."""
-        return rotate_map(member, steps)
-
-
-class BT(_Maps, name="bt", guard=5):
+class BT(Family, name="bt", guard=5):
     b: int
     n: int
     member = BTreeWord
@@ -184,7 +162,7 @@ class BT(_Maps, name="bt", guard=5):
         return _btree_fix(self.b, self.n, d)
 
 
-class BTDeg(_Maps, name="bt_deg", guard=5):
+class BTDeg(Family, name="bt_deg", guard=5):
     b: int
     degrees: tuple[int, ...]
     member = BTreeWord
@@ -212,7 +190,7 @@ class BTDeg(_Maps, name="bt_deg", guard=5):
         return _degrees_fix(self.word_length, self.b, self.degrees, d)
 
 
-class _Decoupled(_Maps):
+class _Decoupled(Family):
     """Tree-rooted maps as (b-tree with 2j buds, matching of the buds)
     pairs, by `compose`: fixed points multiply over the parts.  Only a
     `TMDeg` census composes them; a `TMij` census sums its classes', and a
@@ -230,6 +208,9 @@ class _Decoupled(_Maps):
         return period_census(((m, cyclic_period(arc_offsets(m.word)))
                               for m in enumerate_maps(self)),
                              self.order(), self.rotate)
+
+    def rotate(self, member, steps: int):
+        return rotate_map(member, steps)
 
 
 class TMij(_Decoupled, name="tm_ij", guard=5):
@@ -311,7 +292,7 @@ class TMDeg(_Decoupled, name="tm_deg", guard=5):
                 * _btree_fix(0, self.j, d))
 
 
-class NCM(_Maps, name="ncm", guard=5):
+class NCM(Family, name="ncm", guard=5):
     """Non-crossing matchings of 2j points, turned by `rotate_ncm`.  Their
     words are the b-tree words with no buds, so the member list and the
     brute-force census are those of the b = 0 walk at n = j, like
@@ -400,15 +381,6 @@ def enumerate_maps(family):
 def closed_count_maps(family) -> int:
     """The exact count of the family: `family.count()`."""
     return family.count()
-
-
-@functools.lru_cache(maxsize=None)
-def _btdeg_census_all(b: int, n: int) -> dict:
-    """Period census of BT(b, n) by walk group, keyed like the word table
-    by (degree distribution, root degree): the periods of one b-tree walk,
-    `trees._btree_walk`, that keeps no words, counted in each group."""
-    return {key: tuple(sorted(Counter(periods).items()))
-            for key, (_, periods) in _btree_walk(b, n, words=False)[0].items()}
 
 
 def btree_degree_distributions(b: int, n: int) -> list[tuple[int, ...]]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -140,13 +139,6 @@ class QPolynomial(_Value):
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
 
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
-
-    @staticmethod
-    def from_json(text: str) -> "QPolynomial":
-        return QPolynomial([int(c) for c in json.loads(text)["coeffs"]])
-
 
 def q_int(m: int) -> QPolynomial:
     """[m]_q = 1 + q + ... + q^(m-1)."""
@@ -191,15 +183,6 @@ class QProductExpr(_Value):
     def at_one(self) -> Fraction:
         """Value at q = 1: each [a]_q degenerates to a."""
         return self.scalar * math.prod(self.num) / math.prod(self.den)
-
-    def to_json(self) -> str:
-        return json.dumps({"shift": self.shift, "num": list(self.num),
-                           "den": list(self.den), "scalar": str(self.scalar)})
-
-    @staticmethod
-    def from_json(text: str) -> "QProductExpr":
-        d = json.loads(text)
-        return QProductExpr(d["shift"], d["num"], d["den"], Fraction(d["scalar"]))
 
 
 def q_multinomial(M: int, parts) -> QProductExpr:

@@ -22,9 +22,9 @@ under a power of the ordinary one.
 Each family is ordered and censused under its own kind only:
 `Family.census()` reads `_period_census`, `family._census()` cached
 under (family), and the censuses nest through it.  A plane-tree family's
-census sums the word-table groups (`trees._words_by_degrees(0, n)`) it
-admits.  Under the ordinary kind a group's census counts the periods the
-table records; under a restricted kind it is `_group_census`, cached per
+census, like every word family's, sums the groups of the census table
+(`trees._census_table(0, n)`) it admits.  Under the ordinary kind a group's
+census is the table's; under a restricted kind it is `_group_census`, cached per
 group and kind, which turns each member once, so the leaf-count and degree
 families that share a group share its rotations.  `AllTrees` keeps the
 census that lists, pairs and rotates every member.

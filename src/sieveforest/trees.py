@@ -14,30 +14,33 @@ period key by `arc_offsets`), one re-rooting (`_reroot`, behind
 `node_degrees` and `corner_nodes`, and the one walk over b-tree words
 (`_btree_walk`), which groups them by (degree distribution, root degree)
 and gives each its period, confirmed by a literal re-rooting where it is
-below the length: with the words, the word table of every member list and
-plane-tree census; without them, the periods of the b-tree census.  It also
+below the length: with the words, the word table of every member list;
+without them, past b = 0, the periods of the census table.  It also
 provides the rotation kinds (`RotationKind`: which corners a rotation
-visits), the `Family` protocol that every family of the package implements
-with the two closed-form formulas most families share (b-trees by size and
-by degrees), the eight plane-tree families, the tree center, and the two
-structural surgeries used to classify trees fixed by a power of the
-rotation: cutting the central edge (half_tree / glue_halves) and keeping a
-1/d sector around the central vertex (sector / replicate_sector).  Both are
-re-rootings: rooted at its central vertex, a tree fixed by the 2n/d
-rotation has the word u^d, and rooted at a marked leaf, a half is '(' + its
-subtrees + ')'.
+visits), the `Family` protocol that every family of the package implements,
+with its one census of word families and the two closed-form formulas most
+families share (b-trees by size and by degrees), the eight plane-tree
+families, the tree center, and the two structural surgeries used to
+classify trees fixed by a power of the rotation: cutting the central edge
+(half_tree / glue_halves) and keeping a 1/d sector around the central
+vertex (sector / replicate_sector).  Both are re-rootings: rooted at its
+central vertex, a tree fixed by the 2n/d rotation has the word u^d, and
+rooted at a marked leaf, a half is '(' + its subtrees + ')'.
 
 A plane-tree family is a size constraint (all trees, k leaves, or a degree
 distribution) and a root constraint, which is its rotation kind: the root
 corner must be one the kind visits.  Its members, the order of its kind
 (the corners the kind visits) and its counts all follow from these two.
-So does its census: every family is a union of word-table groups, and
-its census is the sum of theirs (`_summed_census`).  An ordinary
-group's census counts the periods the table records; a restricted group's
-turns each member once and is cached per group and kind
-(`rotations._group_census`), so families that share a group share its
-rotations.  `AllTrees` alone lists its members and pairs each with the
-period of its word in the table (`_paired`).
+So does its census.  Every word family, tree, b-tree or matching, is a
+union of walk groups, and `Family._census` sums the censuses of those it
+admits (`_summed_census`) in one census table per (b, n),
+`_census_table`: at b = 0 the periods of the word table counted, past it
+those of the walk run without words, so at b = 0 one walk serves all.  An
+ordinary group's census is the table's; a restricted group's turns each
+member once and is cached per group and kind (`rotations._group_census`),
+so families that share a group share its rotations.  `AllTrees` alone
+lists its members and pairs each with the period of its word in the table
+(`_paired`).
 
 Every family, tree or map, is one (set, action) pair, ordered and censused
 under its own kind only, and has one census path: `Family.census()` reads
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -542,6 +544,19 @@ def _words_by_degrees(b: int, n: int) -> tuple[dict, list[int]]:
     return _btree_walk(b, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _census_table(b: int, n: int) -> dict:
+    """The census table of the b-tree walk, cached: {(degree distribution,
+    root degree): ((period, count), ...)}, keyed like the word table.  At
+    b = 0 it counts the periods of the word table `_words_by_degrees(0, n)`,
+    which the plane-tree member lists and restricted groups build anyway;
+    past it, those of the walk run keeping no words.  So at b = 0 the
+    censuses and member lists share one walk per process."""
+    groups = (_words_by_degrees(0, n) if b == 0 else _btree_walk(b, n, words=False))[0]
+    return {key: tuple([(p, periods.count(p)) for p in sorted(set(periods))])
+            for key, (_, periods) in groups.items()}
+
+
 def _admitted(b: int, n: int, admits=None):
     """(words, periods): the words of the groups of the word table
     `_words_by_degrees(b, n)` whose key (degrees, root_degree) `admits`
@@ -675,9 +690,10 @@ class Family(_Value):
       feasible()    whether it can have members at all, from its
                     parameters alone, never a closed form (True by default);
       members()     every member once, in a fixed order, by enumeration;
-      kind          the rotation its theorem uses (None for map families,
-                    which have one rotation): the family is one (set,
-                    action) pair, ordered and censused under this kind only;
+      kind          the rotation its theorem uses (None, the default, for
+                    map families, which have one rotation): the family is
+                    one (set, action) pair, ordered and censused under
+                    this kind only;
       order()       the order of that rotation (the word length by default);
       census()      ((period, member count), ...) by enumeration: the
                     least rotation power fixing each member, cached by
@@ -693,7 +709,8 @@ class Family(_Value):
     wrapped in the `member` class, the groups of the word table
     `_words_by_degrees(b, n)` whose key (degree distribution with buds, root
     degree) the family `admits` (every group if it is None); none, and no
-    table read, unless `feasible()`.
+    table read, unless `feasible()`.  `_census()` sums the same groups'
+    censuses in `_census_table(b, n)`.
 
     Two formulas serve most families: `_btree_fix` (b-trees by size; plane
     trees and non-crossing matchings are the b-trees with no buds) and
@@ -702,6 +719,7 @@ class Family(_Value):
     """
 
     guard_limit = 10
+    kind = None     # one rotation, of the default order: the map families
     b = 0           # buds in each member's word
     admits = None   # the word-table groups listed; None for all of them
     member = PlaneTree
@@ -736,6 +754,34 @@ class Family(_Value):
         from . import rotations  # which imports this module
         return rotations._period_census(self)
 
+    def _census(self):
+        """The sum of the censuses of the groups of the census table
+        `_census_table(b, n)` that the family admits, the groups its
+        `members()` lists; none, and no walk, unless `feasible()`.  Under
+        no kind or the ordinary one a group's census is the table's: the
+        walk re-rooted each word whose period is below the length, and
+        re-rooting by the whole tour is the identity.  Under a restricted
+        kind it is the group's `rotations._group_census`, at the group's
+        own count of eligible corners, which must be the family's order."""
+        kind, order, admits = self.kind, self.order(), self.admits
+        if not self.feasible():
+            return ()
+        from . import rotations
+
+        def groups():
+            for key, census in _census_table(self.b, self.n).items():
+                if admits is not None and not admits(*key):
+                    continue
+                if kind is None or kind.name == "ordinary":
+                    yield census
+                elif kind.corners(key[0]) == order:
+                    yield rotations._group_census(self.n, key, kind)
+                else:
+                    raise AssertionError(
+                        f"{self} has order {order} under {kind}, but its members with "
+                        f"degrees {key[0]} have {kind.corners(key[0])} such corners")
+        return _summed_census(groups())
+
     def count(self) -> int:
         return self.fix_closed(1)
 
@@ -767,34 +813,6 @@ class _PlaneTrees(Family):
     rotation order follows from it."""
 
     kind = ORDINARY
-
-    def _census(self):
-        """The sum of the censuses of the groups of the word table
-        `_words_by_degrees(0, n)` that the family admits, whose root corner
-        its kind visits.  Under the ordinary kind a group's
-        census counts the periods the table records: the walk re-rooted each
-        word whose P is below 2n, and re-rooting by the whole tour is the
-        identity.  Under a restricted kind it is the group's
-        `rotations._group_census`, at the group's own count of eligible
-        corners, which must be the family's order."""
-        kind, order = self.kind, self.order()
-        if not self.feasible():
-            return ()
-        from . import rotations
-
-        def groups():
-            for key, (_, periods) in _words_by_degrees(0, self.n)[0].items():
-                if not self.admits(*key):
-                    continue
-                if kind.name == "ordinary":
-                    yield Counter(periods).items()
-                elif kind.corners(key[0]) == order:
-                    yield rotations._group_census(self.n, key, kind)
-                else:
-                    raise AssertionError(
-                        f"{self} has order {order} under {kind}, but its members with "
-                        f"degrees {key[0]} have {kind.corners(key[0])} such corners")
-        return _summed_census(groups())
 
 
 class AllTrees(_PlaneTrees, name="all_trees"):

@@ -141,12 +141,14 @@ def test_btree_walk_census_matches_divisor_trial():
 
 def test_btree_walk_confirms_every_period_below_the_length(monkeypatch):
     """A period below the word length rests on a literal re-rooting: a
-    re-rooting that disagrees fails the census of ()() (period 2 of 4)."""
+    re-rooting that disagrees fails the census of (b)(b) (period 3 of 6),
+    walked without words; at b = 0 the table reads the word table, whose
+    walk the next test covers."""
     maps._btdeg_census_all.cache_clear()
     monkeypatch.setattr(trees, "_reroot", lambda word, steps: word + "b")
     try:
         with pytest.raises(AssertionError):
-            maps._btdeg_census_all(0, 2)
+            maps._btdeg_census_all(2, 2)
     finally:
         maps._btdeg_census_all.cache_clear()
 
@@ -278,6 +280,33 @@ def test_matching_census_is_the_bare_btree_census():
         maps._btdeg_census_all.cache_clear()
 
 
+def test_bare_census_reads_the_warm_word_table(monkeypatch):
+    """At b = 0 every census reads the word table: once the table of
+    (0, 6) is warm, the matching, b-tree and plane-tree censuses at n = 6
+    walk no more and give what they gave from cold caches."""
+    families = [NCM(6), BT(0, 6), BTDeg(0, (4, 2, 0, 1)), ByLeaves(6, 3)]
+
+    def clear():
+        rotations._period_census.cache_clear()
+        rotations._group_census.cache_clear()
+        maps._btdeg_census_all.cache_clear()
+        trees._words_by_degrees.cache_clear()
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked (0, 6) a second time")
+
+    clear()
+    try:
+        cold = [family.census() for family in families]
+        clear()
+        trees._words_by_degrees(0, 6)
+        monkeypatch.setattr(trees, "_btree_walk", no_walk)
+        monkeypatch.setattr(maps, "_btree_walk", no_walk, raising=False)
+        assert [family.census() for family in families] == cold
+    finally:
+        clear()
+
+
 def test_infeasible_btree_census_runs_no_walk(monkeypatch):
     """No b-tree with 2 edges and 2 buds has three nodes of degree 1: the
     census is empty, and no walk is run to find that out."""
@@ -289,9 +318,7 @@ def test_infeasible_btree_census_runs_no_walk(monkeypatch):
     rotations._period_census.cache_clear()
     maps._btdeg_census_all.cache_clear()
     trees._words_by_degrees.cache_clear()
-    # `maps` holds its own binding of the walk
     monkeypatch.setattr(trees, "_btree_walk", no_walk)
-    monkeypatch.setattr(maps, "_btree_walk", no_walk)
     try:
         assert family.census() == ()
         assert list(family.members()) == []
