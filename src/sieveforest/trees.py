@@ -15,7 +15,11 @@ period key by `arc_offsets`), one re-rooting (`_reroot`, behind
 (`_btree_walk`), which groups them by (degree distribution, root degree)
 and gives each its period, confirmed by a literal re-rooting where it is
 below the length: with the words, the word table of every member list;
-without them, past b = 0, the periods of the census table.  It also
+without them, past b = 0, the periods of the census table.  The walk
+carries the distribution as one integer, the sum over the nodes of
+(n + 2) ** degree, exact because no degree count passes n + 1, and writes
+the closing tail of a word only where it is read: where the word is kept
+or its group may have a period below the length.  It also
 provides the rotation kinds (`RotationKind`: which corners a rotation
 visits), the `Family` protocol that every family of the package implements,
 with its one census of word families and the two closed-form formulas most
@@ -35,7 +39,9 @@ So does its census.  Every word family, tree, b-tree or matching, is a
 union of walk groups, and `Family._census` sums the censuses of those it
 admits (`_summed_census`) in one census table per (b, n),
 `_census_table`: at b = 0 the periods of the word table counted, past it
-those of the walk run without words, so at b = 0 one walk serves all.  An
+those of the walk run without words, so at b = 0 one walk serves all.  A
+family that fixes its degree distribution reads only that distribution's
+keys, indexed next to the table by `_census_keys`.  An
 ordinary group's census is the table's; a restricted group's turns each
 member once and is cached per group and kind (`rotations._group_census`),
 so families that share a group share its rotations.  `AllTrees` alone
@@ -422,119 +428,126 @@ def _btree_walk(b: int, n: int, words: bool = True):
     only their periods: every word tuple and `order` are empty.
 
     The walk builds the words in order and carries, for the prefix, the
-    node degrees, how many nodes have each degree, and the arc offsets of
-    `arc_offsets`: closing the '(' at j by the ')' at i writes i - j at j
-    and L - (i - j) at i; a bud is 0.  A finished word is not parsed again:
-    its period is read off the offsets, only in the groups whose degree
-    counts allow a period below L (`_may_repeat`); in the others it is L.
-    A period below L is confirmed by one literal re-rooting of the word;
-    re-rooting by the whole tour is the identity, so P = L needs none.
-    Once every edge is placed, a prefix standing at the root can go on
-    only with buds, and one frame writes them all.
+    node degrees, the arc offsets of `arc_offsets` (closing the '(' at j by
+    the ')' at i writes i - j at j and L - (i - j) at i; a bud is 0), and
+    the degree distribution as one integer code, the sum over the nodes of
+    (n + 2) ** degree.  No degree count passes n + 1, the number of nodes,
+    so the code's base-(n + 2) digits are the counts and the code is exact.
+    Each letter hands the next frame the code plus a precomputed step: a
+    node going from degree d to d + 1 adds
+    (n + 2) ** (d + 1) - (n + 2) ** d, and a '(' also adds n + 2 for its
+    child of degree 1.  A finished word is not parsed again: its group is
+    looked up by code * (n + b + 1) + its root degree, and a new group
+    decodes its distribution once from the node degrees.  The closing ')'s that end a word, with their offsets,
+    are written only where they are read: the offsets in the groups whose
+    degree counts allow a period below L (`_may_repeat`), where P is read
+    off them; the letters where the word is kept or P < L.  In the other
+    groups P = L.  A period below L is confirmed by one literal re-rooting
+    of the word; re-rooting by the whole tour is the identity, so P = L
+    needs none.  Once every edge is placed, a prefix standing at the root
+    can go on only with buds, and one frame writes them all.
     """
     if b < 0 or n < 0:
         return {}, []
     size = 2 * n + b
     letters = [""] * size
+    closes = [")"] * size
+    zeros = bytes(size)
     # Node k >= 1 is the k-th node reached, below the k-th '('.
     degree = [0] * (n + 1)
-    # dist[d] = nodes reached so far with degree d (at most n + b); the
-    # root starts at 0
-    dist = [0] * (n + b + 1)
-    dist[0] = 1
     parent = [0] * (n + 1)
     opened_at = [0] * (n + 1)  # position of the '(' above each node
+    # the code of the distribution: a node of degree d adds base ** d
+    base, roots = n + 2, n + b + 1  # roots: the root degrees 0 .. n + b
+    power = [base ** d for d in range(roots + 1)]
+    bump = [power[d + 1] - power[d] for d in range(roots)]  # degree d -> d + 1
+    branch = [step + base for step in bump]                 # and a new leaf
     # one byte per offset, read by `cyclic_period` as it is; past 255
     # letters (enumerable only with very few edges) a str of chr(offset)
     offsets = bytearray(size) if size < 256 else [0] * size
     period = cyclic_period if size < 256 else (
         lambda o: cyclic_period("".join(map(chr, o))))
-    groups: dict[tuple, tuple] = {}
+    # code * roots + root degree -> (index, words, periods, may repeat, key)
+    groups: dict[int, tuple] = {}
     order: list[int] = []
 
-    def walk(i: int, opens: int, buds: int, node: int) -> None:
-        """Extend the prefix of length i, which stands at `node`."""
+    def walk(i: int, opens: int, buds: int, node: int, code: int) -> None:
+        """Extend the prefix of length i, which stands at `node` and whose
+        degree distribution has the code `code`."""
         if opens == n:
             if buds == b:
-                while node:  # the rest of the word closes every open edge
-                    j = opened_at[node]
-                    offsets[j] = i - j
-                    offsets[i] = size - (i - j)
-                    letters[i] = ")"
-                    node = parent[node]
-                    i += 1
-                key = (tuple(dist), degree[0])
-                group = groups.get(key)
+                # the rest of the word closes every open edge: written below
+                # only where it is read
+                found = code * roots + degree[0]
+                group = groups.get(found)
                 if group is None:
-                    group = groups[key] = (len(groups), [],
-                                           bytearray() if size < 256 else [],
-                                           _may_repeat(dist, size))
-                p = period(offsets) if group[3] else size
-                if p < size:
+                    counts = [0] * roots
+                    for d in degree:
+                        counts[d] += 1
+                    group = groups[found] = (
+                        len(groups), [], bytearray() if size < 256 else [],
+                        _may_repeat(counts, size),
+                        (_normalize_degrees(counts[1:]), degree[0]))
+                p = size
+                if group[3]:
+                    t = i
+                    while node:
+                        j = opened_at[node]
+                        offsets[j] = t - j
+                        offsets[t] = size - (t - j)
+                        node = parent[node]
+                        t += 1
+                    p = period(offsets)
+                if p < size or words:
+                    letters[i:] = closes[i:]
                     word = "".join(letters)
-                    if _reroot(word, -p) != word:
+                    if p < size and _reroot(word, -p) != word:
                         raise AssertionError(f"{word} is not fixed by its period {p}")
+                    if words:
+                        order.append(group[0])
+                        group[1].append(word)
                 group[2].append(p)
-                if words:
-                    order.append(group[0])
-                    group[1].append("".join(letters))
                 return
             if not node and b - buds > 1:
                 # at the root with every edge placed, the rest can only be
                 # buds: one frame places them all (one is the bud step's)
-                rest = b - buds
                 d = degree[0]
-                degree[0] = d + rest
-                dist[d] -= 1
-                dist[d + rest] += 1
-                for j in range(i, size):
-                    offsets[j] = 0
-                    letters[j] = "b"
-                walk(size, n, b, 0)
+                degree[0] = d + b - buds
+                offsets[i:] = zeros[i:]
+                letters[i:] = "b" * (size - i)
+                walk(size, n, b, 0, code + power[d + b - buds] - power[d])
                 degree[0] = d
-                dist[d] += 1
-                dist[d + rest] -= 1
                 return
         if opens < n:
             child = opens + 1
             d = degree[node]
             degree[node] = d + 1
-            dist[d] -= 1
-            dist[d + 1] += 1
-            dist[1] += 1
             degree[child] = 1
             parent[child] = node
             opened_at[child] = i
             letters[i] = "("
-            walk(i + 1, child, buds, child)
+            walk(i + 1, child, buds, child, code + branch[d])
             degree[node] = d
-            dist[d] += 1
-            dist[d + 1] -= 1
-            dist[1] -= 1
         if node:
             j = opened_at[node]
             offsets[j] = i - j
             offsets[i] = size - (i - j)
             letters[i] = ")"
-            walk(i + 1, opens, buds, parent[node])
+            walk(i + 1, opens, buds, parent[node], code)
         if buds < b:
             d = degree[node]
             degree[node] = d + 1
-            dist[d] -= 1
-            dist[d + 1] += 1
             offsets[i] = 0
             letters[i] = "b"
-            walk(i + 1, opens, buds + 1, node)
+            walk(i + 1, opens, buds + 1, node, code + bump[d])
             degree[node] = d
-            dist[d] += 1
-            dist[d + 1] -= 1
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, power[0])  # the bare root: one node of degree 0
     # `walk` refers to itself: unbound, its working lists go now, not when
     # the cyclic collector next runs
     walk = None
-    return ({(_normalize_degrees(counts[1:]), root): (tuple(listed), periods)
-             for (counts, root), (_, listed, periods, _) in groups.items()}, order)
+    return ({key: (tuple(listed), periods)
+             for _, listed, periods, _, key in groups.values()}, order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -555,6 +568,17 @@ def _census_table(b: int, n: int) -> dict:
     groups = (_words_by_degrees(0, n) if b == 0 else _btree_walk(b, n, words=False))[0]
     return {key: tuple([(p, periods.count(p)) for p in sorted(set(periods))])
             for key, (_, periods) in groups.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _census_keys(b: int, n: int) -> dict:
+    """The keys of the census table `_census_table(b, n)` by degree
+    distribution, each list in table order: {degrees: [key, ...]}.  A family
+    that fixes its distribution reads only its own keys through it."""
+    index: dict[tuple, list] = {}
+    for key in _census_table(b, n):
+        index.setdefault(key[0], []).append(key)
+    return index
 
 
 def _admitted(b: int, n: int, admits=None):
@@ -710,7 +734,8 @@ class Family(_Value):
     `_words_by_degrees(b, n)` whose key (degree distribution with buds, root
     degree) the family `admits` (every group if it is None); none, and no
     table read, unless `feasible()`.  `_census()` sums the same groups'
-    censuses in `_census_table(b, n)`.
+    censuses in `_census_table(b, n)`; a family that fixes its `degrees`
+    reads only that distribution's keys, from `_census_keys(b, n)`.
 
     Two formulas serve most families: `_btree_fix` (b-trees by size; plane
     trees and non-crossing matchings are the b-trees with no buds) and
@@ -722,6 +747,7 @@ class Family(_Value):
     kind = None     # one rotation, of the default order: the map families
     b = 0           # buds in each member's word
     admits = None   # the word-table groups listed; None for all of them
+    degrees = None  # the one degree distribution admitted; None if not fixed
     member = PlaneTree
 
     def __init_subclass__(cls, name: "str | None" = None,
@@ -757,7 +783,8 @@ class Family(_Value):
     def _census(self):
         """The sum of the censuses of the groups of the census table
         `_census_table(b, n)` that the family admits, the groups its
-        `members()` lists; none, and no walk, unless `feasible()`.  Under
+        `members()` lists; none, and no walk, unless `feasible()`.  With
+        `degrees` fixed, only that distribution's keys are tried.  Under
         no kind or the ordinary one a group's census is the table's: the
         walk re-rooted each word whose period is below the length, and
         re-rooting by the whole tour is the identity.  Under a restricted
@@ -767,13 +794,16 @@ class Family(_Value):
         if not self.feasible():
             return ()
         from . import rotations
+        table = _census_table(self.b, self.n)
+        keys = (table if self.degrees is None
+                else _census_keys(self.b, self.n).get(self.degrees, ()))
 
         def groups():
-            for key, census in _census_table(self.b, self.n).items():
+            for key in keys:
                 if admits is not None and not admits(*key):
                     continue
                 if kind is None or kind.name == "ordinary":
-                    yield census
+                    yield table[key]
                 elif kind.corners(key[0]) == order:
                     yield rotations._group_census(self.n, key, kind)
                 else:

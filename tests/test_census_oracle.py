@@ -254,14 +254,23 @@ def test_btree_walk_carries_its_degree_distribution():
     assert maps._btdeg_census_all(3, 4) == expected
 
 
+# the (b, n) of the b-tree sweep: `btij` at b + 2n <= 13, `btd` at b + n <= 8
+BTREE_SWEEP_SIZES = sorted({(b, n) for n in range(7) for b in range(14 - 2 * n)}
+                           | {(b, n) for b in range(9) for n in range(9 - b)})
+
+
 def test_btree_census_is_keyed_like_the_word_table():
-    """The census walk and the word-table walk find the same groups, in
-    the same order, so a family's census and its member list read the same
-    keys."""
-    for b in range(0, MAX_N + 1):
-        for n in range(0, MAX_N + 1 - b):
-            assert list(maps._btdeg_census_all(b, n)) == \
-                list(trees._words_by_degrees(b, n)[0]), (b, n)
+    """On every (b, n) of the b-tree sweep the walk run without words finds
+    the groups of the word-table walk, in the same order, with the same
+    periods (a word's closing tail is written only where it is read), and
+    the census table has the same keys: a family's census and its member
+    list read the same keys."""
+    for b, n in BTREE_SWEEP_SIZES:
+        table, _ = trees._btree_walk(b, n)
+        counted, _ = trees._btree_walk(b, n, words=False)
+        assert list(counted) == list(table) == list(maps._btdeg_census_all(b, n)), (b, n)
+        assert [periods for _, periods in counted.values()] == \
+            [periods for _, periods in table.values()], (b, n)
 
 
 def test_matching_census_is_the_bare_btree_census():
@@ -560,3 +569,48 @@ def test_bud_heavy_walks_match_the_reference():
         counted, _ = trees._btree_walk(b, n, words=False)
         assert {key: list(periods) for key, (_, periods) in counted.items()} == \
             {key: list(periods) for key, (_, periods) in groups.items()}, (b, n)
+
+
+def test_walk_code_holds_a_degree_count_at_its_bound():
+    """The walk codes a degree distribution in base n + 2, exact while no
+    count passes n + 1.  The count of degree 2 reaches that bound where
+    every node has degree 2 (a path with a bud at each end, b = 2): the
+    groups are still the reference's, in both modes, up to n = 5."""
+    for n in range(6):
+        table = reference_table(2, n)
+        assert ((0, n + 1), 2) in table, n
+        groups, _ = trees._btree_walk(2, n)
+        assert {key: words for key, (words, _) in groups.items()} == table, n
+        counted, _ = trees._btree_walk(2, n, words=False)
+        assert list(counted) == list(groups), n
+
+
+def test_fixed_distribution_census_reads_only_its_keys(monkeypatch):
+    """The key index splits the census table by degree distribution, in
+    table order, and a family that fixes its distribution asks `admits`
+    only about that distribution's keys; its census is still the
+    divisor-trial census."""
+    for b, n in ((0, 7), (2, 5), (4, 4)):
+        table = maps._btdeg_census_all(b, n)
+        index = trees._census_keys(b, n)
+        assert index == {degrees: [key for key in table if key[0] == degrees]
+                         for degrees, _ in table}, (b, n)
+    families = [BTDeg(2, (2, 3, 1)), BTDeg(4, (1, 2, 2)), ByDegrees((4, 2, 0, 1)),
+                RootDegree((4, 2, 0, 1), 4), LeafRootedDeg((5, 1, 1, 1))]
+    for family in families:
+        cls = type(family)
+        asked = []
+
+        def admits(self, degrees, root_degree, original=cls.admits):
+            asked.append((degrees, root_degree))
+            return original(self, degrees, root_degree)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cls, "admits", admits)
+            census = family._census()
+        table = maps._btdeg_census_all(family.b, family.n)
+        assert asked == [key for key in table if key[0] == family.degrees], family
+        assert census == divisor_trial_census(
+            list(family.members()), family.order(),
+            lambda m, p: (family.rotate(m, p) if family.kind is None
+                          else rotate(m, family.kind, p))), family

@@ -9,9 +9,11 @@ k-th rotation power, N(s) = sum over k | s of mu(s / k) F(k) members have
 period s, so N(s) / s orbits.  Nothing in the library folds or inverts:
 these tests do both from the public counts.
 
-The last test checks that the three columns of `verify` rest on three
-separate routes: each column is computed again with the entry points of
-the other two routes patched to raise, and must not change.
+The independence tests check that the three columns of `verify` rest on
+three separate routes: each column is computed again with the entry points
+of the other two routes patched to raise, and must not change.  The seeded
+mutants each put one fault into the enumeration route, which `verify` must
+report on a small sweep.
 """
 import functools
 import sys
@@ -19,7 +21,8 @@ import sys
 import pytest
 
 from sieveforest import maps, qseries, rotations, trees
-from sieveforest.csp import InfeasibleParams, THEOREMS, build_instance
+from sieveforest.csp import (ALL_EXPONENTS, InfeasibleParams, THEOREMS, build_instance,
+                             verify)
 from sieveforest.rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 
 
@@ -235,3 +238,74 @@ def test_each_column_needs_only_its_own_route(route, monkeypatch):
         got = [compute(inst, d) for inst, d in rows]
     clear_every_cache()
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutants: one fault each, put in by a monkeypatch
+
+
+def never_repeats(patched):
+    """`_may_repeat` always false: every word gets the period L."""
+    patched.setattr(trees, "_may_repeat", lambda counts, size: False)
+
+
+def drops_a_group(patched):
+    """The walk loses its last group, in both modes."""
+    walk = trees._btree_walk
+
+    def mutant(b, n, words=True):
+        groups, order = walk(b, n, words)
+        if groups:
+            del groups[list(groups)[-1]]
+            order = [g for g in order if g < len(groups)]
+        return groups, order
+
+    patched.setattr(trees, "_btree_walk", mutant)
+
+
+def repeats_a_word(patched):
+    """The walk lists its first word twice, with its period, in both modes."""
+    walk = trees._btree_walk
+
+    def mutant(b, n, words=True):
+        groups, order = walk(b, n, words)
+        if groups:
+            key = next(iter(groups))
+            listed, periods = groups[key]
+            groups[key] = (listed[:1] + listed, periods[:1] + periods)
+            order = order[:1] + order
+        return groups, order
+
+    patched.setattr(trees, "_btree_walk", mutant)
+
+
+MUTANTS = {"_may_repeat always false": never_repeats,
+           "a walk that drops one group": drops_a_group,
+           "a walk that repeats one word": repeats_a_word}
+
+
+def mutant_sweep():
+    """The small `ord`, `btij` and `btd` instances with b + n <= 5."""
+    return [inst for inst in small_instances()
+            if inst.theorem in ("ord", "btij", "btd")
+            and inst.family.b + inst.family.n <= 5]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_verify_reports_each_seeded_mutant(mutant, monkeypatch):
+    """Every instance of the sweep passes from cold caches; with the mutant
+    in, from cold caches again, `verify` reports a disagreement on some
+    instance of each of the three theorems."""
+    sweep = mutant_sweep()
+    assert len(sweep) == 72
+    clear_every_cache()
+    try:
+        assert all(verify(inst, ALL_EXPONENTS).overall for inst in sweep)
+        clear_every_cache()
+        with monkeypatch.context() as patched:
+            MUTANTS[mutant](patched)
+            caught = [(inst.theorem, inst.params) for inst in sweep
+                      if not verify(inst, ALL_EXPONENTS).overall]
+    finally:
+        clear_every_cache()
+    assert {theorem for theorem, _ in caught} == {"ord", "btij", "btd"}, mutant
