@@ -5,10 +5,12 @@ cyclotomic polynomials, and evaluation at roots of unity, all with
 arbitrary-precision integers and no floating point.  A q-product has two exact
 routes: `to_polynomial` expands it as q^shift * scalar * prod Phi_k^{m_k}, and
 `eval_expr_at_root` finds its value at a primitive d-th root of unity without
-expanding it, from the product taken in Z[q]/(q^d - 1) and reduced modulo
-Phi_d.  The two share no code; each counts the multiples of k among the
-indices for the multiplicity of Phi_k on its own.  `eval_at_primitive_root`
-reduces an expanded polynomial modulo Phi_d.
+expanding it.  It counts the indices by residue class mod d, cancels the
+classes between numerator and denominator, multiplies out only the net
+factors 1 - q^r in Z[q]/(q^d - 1), reduces modulo Phi_d, and finishes with
+one exact integer quotient.  The two share no code; each counts the
+multiples of k among the indices for the multiplicity of Phi_k on its own.
+`eval_at_primitive_root` reduces an expanded polynomial modulo Phi_d.
 """
 from __future__ import annotations
 
@@ -169,11 +171,14 @@ class QProductExpr(_Value):
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "scalar", Fraction(scalar))
+        object.__setattr__(self, "scalar", scalar if isinstance(scalar, Fraction)
+                           else Fraction(scalar))
 
     def __mul__(self, other: "QProductExpr") -> "QProductExpr":
+        s, t = self.scalar, other.scalar
         return QProductExpr(self.shift + other.shift, self.num + other.num,
-                            self.den + other.den, self.scalar * other.scalar)
+                            self.den + other.den,
+                            t if s == 1 else s if t == 1 else s * t)
 
     @property
     def degree(self) -> int:
@@ -215,7 +220,8 @@ def cyclotomic(d: int) -> QPolynomial:
 
 
 def to_polynomial(expr: QProductExpr) -> QPolynomial:
-    """q^shift * scalar * prod_{k>=2} Phi_k^{m_k}, m_k = phi_multiplicity(expr, k).
+    """q^shift * scalar * prod_{k>=2} Phi_k^{m_k}, m_k the multiplicity of Phi_k
+    in the quotient.
 
     A polynomial exactly when no m_k is negative; it then equals its power
     series cut off above its degree, the product of the (1 - q^e)^{E_e} that
@@ -240,18 +246,12 @@ def to_polynomial(expr: QProductExpr) -> QPolynomial:
             else:
                 for r in range(e):
                     cs[r::e] = itertools.accumulate(cs[r::e])
-    scaled = [expr.scalar * c for c in cs]
-    if any(c.denominator != 1 for c in scaled):
-        raise NotPolynomial(f"scalar {expr.scalar} does not clear: {QPolynomial(cs)}")
-    return QPolynomial([0] * expr.shift + [int(c) for c in scaled])
-
-
-def phi_multiplicity(expr: QProductExpr, d: int) -> int:
-    """Multiplicity of Phi_d in the expression: multiples of d above minus below."""
-    if d < 2:
-        raise ValueError("phi_multiplicity requires d >= 2")
-    return (sum(1 for a in expr.num if a % d == 0)
-            - sum(1 for b in expr.den if b % d == 0))
+    if expr.scalar != 1:
+        top, bottom = expr.scalar.numerator, expr.scalar.denominator
+        if any(c * top % bottom for c in cs):
+            raise NotPolynomial(f"scalar {expr.scalar} does not clear: {QPolynomial(cs)}")
+        cs = [c * top // bottom for c in cs]
+    return QPolynomial([0] * expr.shift + cs)
 
 
 def eval_at_primitive_root(p: QPolynomial, d: int) -> int:
@@ -270,50 +270,64 @@ def eval_at_primitive_root(p: QPolynomial, d: int) -> int:
 def eval_expr_at_root(expr: QProductExpr, d: int) -> int:
     """The value at a primitive d-th root of unity, from the product itself.
 
-    Multiples of d pair off, [a]_q/[b]_q tending to a/b (if they cannot, the
-    value is 0 or a pole).  Every other [a]_q is (1 - q^a)/(1 - q): the two
-    sides, with q^shift and the (1 - q) factors, are multiplied out in
-    Z[q]/(q^d - 1), where 1 - q^r is one rotate-and-subtract, and reduced once
-    modulo Phi_d.  The value is rational only if top = c * bottom coefficient
-    by coefficient, and is then c times the paired ratio.
+    Every [a]_q is (1 - q^a)/(1 - q), and 1 - q^a depends, modulo q^d - 1,
+    only on the class r = a mod d.  So the indices are counted by class:
+    net[r] is the number of numerator indices in class r less the number of
+    denominator ones, and the (1 - q) of each [a]_q is counted in class 1.
+    net[0] is the multiplicity of Phi_d: the multiples of d pair off,
+    [a]_q/[b]_q tending to a/b (if they cannot, the value is 0 or a pole).
+    The top side, q^shift times (1 - q^r)^net[r] for each positive net, and
+    the bottom side, (1 - q^r)^-net[r] for each negative one, are multiplied
+    out in Z[q]/(q^d - 1), where 1 - q^r is one rotate-and-subtract, and
+    reduced once modulo Phi_d.  The value is rational only if top =
+    c * bottom coefficient by coefficient, and is then c times the paired
+    ratio and the scalar, one integer quotient that must be exact.
     """
     if d < 1:
         raise ValueError("root order must be >= 1")
+    scalar = expr.scalar
     if d == 1:
-        val = expr.at_one()
-        if val.denominator != 1:
-            raise NonIntegerValue(f"value at q=1 is {val}")
-        return int(val)
-    mult = phi_multiplicity(expr, d)
-    if mult < 0:
-        raise PoleAtRoot(f"expression has a pole of order {-mult} at a primitive {d}-th root")
-    if mult > 0:
+        top = scalar.numerator * math.prod(expr.num)
+        bottom = scalar.denominator * math.prod(expr.den)
+        val, rem = divmod(top, bottom)
+        if rem:
+            raise NonIntegerValue(f"value at q=1 is {Fraction(top, bottom)}")
+        return val
+    net = [0] * d
+    for a in expr.num:
+        net[a % d] += 1
+    for b in expr.den:
+        net[b % d] -= 1
+    if net[0] < 0:
+        raise PoleAtRoot(f"expression has a pole of order {-net[0]} at a primitive {d}-th root")
+    if net[0] > 0:
         return 0
+    net[1] += len(expr.den) - len(expr.num)
     phi = cyclotomic(d).coeffs
     n = len(phi) - 1
-    ones = len(expr.den) - len(expr.num)
     sides = []
-    for start, indices in ((expr.shift % d, expr.num + (1,) * ones),
-                           (0, expr.den + (1,) * -ones)):
+    for start, sign in ((expr.shift % d, 1), (0, -1)):
         v = [0] * d
         v[start] = 1
-        for r in [a % d for a in indices if a % d]:
-            v = list(map(operator.sub, v, v[-r:] + v[:-r]))
+        for r in range(1, d):
+            for _ in range(net[r] * sign):
+                v = list(map(operator.sub, v, v[-r:] + v[:-r]))
         for i in range(d - 1, n - 1, -1):
-            for j in range(n):
-                v[i - n + j] -= v[i] * phi[j]
+            if v[i]:
+                for j in range(n):
+                    v[i - n + j] -= v[i] * phi[j]
         sides.append(v[:n])
     top, bottom = sides
     # no factor of the bottom vanishes at the root, so its residue is not zero
     k = next(k for k, c in enumerate(bottom) if c)
     if any(t * bottom[k] != b * top[k] for t, b in zip(top, bottom)):
         raise NonIntegerValue(f"value at a primitive {d}-th root is irrational")
-    val = (expr.scalar * Fraction(top[k], bottom[k])
-           * math.prod(a for a in expr.num if a % d == 0)
-           / math.prod(b for b in expr.den if b % d == 0))
-    if val.denominator != 1:
-        raise NonIntegerValue(f"value at a primitive {d}-th root is {val}")
-    return int(val)
+    top = scalar.numerator * top[k] * math.prod(a for a in expr.num if a % d == 0)
+    bottom = scalar.denominator * bottom[k] * math.prod(b for b in expr.den if b % d == 0)
+    val, rem = divmod(top, bottom)
+    if rem:
+        raise NonIntegerValue(f"value at a primitive {d}-th root is {Fraction(top, bottom)}")
+    return val
 
 
 def shape_predicates(p: QPolynomial) -> dict:

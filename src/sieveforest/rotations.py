@@ -83,9 +83,13 @@ class FixQuery(_Value):
     kind: "RotationKind | None"
     e: int
 
-    def __post_init__(self):
-        if self.kind is not self.family.kind and self.kind != self.family.kind:
-            raise IncompatibleKind(f"{self.kind} does not act on {self.family}")
+    def __init__(self, family: trees.Family, kind: "RotationKind | None", e: int):
+        if kind is not family.kind and kind != family.kind:
+            raise IncompatibleKind(f"{kind} does not act on {family}")
+        put = object.__setattr__
+        put(self, "family", family)
+        put(self, "kind", kind)
+        put(self, "e", e)
 
 
 @functools.lru_cache(maxsize=None)

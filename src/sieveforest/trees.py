@@ -777,7 +777,7 @@ class Family(_Value):
         return self.word_length
 
     def census(self):
-        from . import rotations  # which imports this module
+        # read at each call, not bound once: a tracer rebinds it
         return rotations._period_census(self)
 
     def _census(self):
@@ -793,7 +793,6 @@ class Family(_Value):
         kind, order, admits = self.kind, self.order(), self.admits
         if not self.feasible():
             return ()
-        from . import rotations
         table = _census_table(self.b, self.n)
         keys = (table if self.degrees is None
                 else _census_keys(self.b, self.n).get(self.degrees, ()))
@@ -871,7 +870,6 @@ class AllTrees(_PlaneTrees, name="all_trees"):
         # not summed over the groups: the benchmark's self-test pins this
         # path's listing, its `stats` scan and its one census miss.  It
         # joins the groups when the scan goes (ROADMAP item 1a).
-        from . import rotations
         return period_census(_paired(enumerate_family(self), *_admitted(0, self.n)),
                              self.order(),
                              lambda t, p: rotations.rotate(t, ORDINARY, p))
@@ -1232,3 +1230,7 @@ def replicate_sector(marked: MarkedTree, d: int) -> PlaneTree:
     if m != 0 and not (1 <= m < len(w) and w[m - 1] == "("):
         raise ValueError(f"corner {m} is not a first-arrival corner of {w!r}")
     return PlaneTree(shift_root(shift_root(w, -m) * d, m))
+
+
+# bound last: `rotations` imports this module
+from . import rotations  # noqa: E402

@@ -4,9 +4,9 @@ Above the size guard the brute force cannot run, but the other two checks
 can: the closed forms are products of binomials, and `eval_expr_at_root`
 never expands the q-product.  For every theorem, at every d dividing the
 order, the closed fixed-point count must equal the q-product at a primitive
-d-th root of unity.  Size theorems run up to n = 200; degree theorems take
-distributions by evenly spaced draws, as the benchmark's sweeps do, up to
-n = 20.  The largest n per theorem is recorded in README.
+d-th root of unity.  Size theorems run up to n = 1,000; degree theorems
+take distributions by evenly spaced draws, as the benchmark's sweeps do, up
+to n = 25.  The largest n per theorem is recorded in README.
 """
 import pytest
 
@@ -16,8 +16,8 @@ from sieveforest.qseries import eval_expr_at_root
 from sieveforest.rotations import FixQuery, fix_count_closed
 from sieveforest.trees import degree_distributions
 
-SIZES = (2, 3, 7, 12, 30, 60, 97, 120, 199, 200)
-DEGREE_SIZES = (4, 9, 12, 16, 20)
+SIZES = (2, 3, 7, 12, 30, 60, 97, 120, 199, 200, 360, 500, 720, 997, 1000)
+DEGREE_SIZES = (4, 9, 12, 16, 20, 25)
 DRAWS = 4
 
 

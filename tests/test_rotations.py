@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sieveforest import trees
+from sieveforest import rotations, trees
+from sieveforest.maps import NCM
 from sieveforest.rotations import (FixQuery, INTERNAL, IncompatibleKind, LEAF,
                                    NoEligibleCorner, ORDINARY,
                                    check_rotation_transfer, degree_kind,
@@ -104,6 +105,43 @@ class TestOrders:
         # a family is ordered and counted under its own kind only
         with pytest.raises(IncompatibleKind):
             FixQuery(LeafRooted(5, 3), INTERNAL, 1)
+        with pytest.raises(IncompatibleKind) as err:
+            FixQuery(family=RootDegree((2, 0, 2), 3), kind=ORDINARY, e=2)
+        assert str(err.value) == (
+            f"{ORDINARY} does not act on {RootDegree((2, 0, 2), 3)}")
+        with pytest.raises(IncompatibleKind, match="does not act on"):
+            FixQuery(NCM(3), ORDINARY, 1)
+
+    def test_fix_query_by_position_and_keyword(self):
+        fam = RootDegree((2, 0, 2), 3)
+        query = FixQuery(fam, fam.kind, 4)
+        assert (query.family, query.kind, query.e) == (fam, degree_kind(3), 4)
+        for same in (FixQuery(family=fam, kind=fam.kind, e=4),
+                     FixQuery(fam, e=4, kind=degree_kind(3)),
+                     FixQuery(RootDegree((2, 0, 2), 3), degree_kind(3), 4)):
+            assert same == query and hash(same) == hash(query)
+        assert FixQuery(fam, fam.kind, 5) != query
+        assert FixQuery(NCM(3), None, 4) != FixQuery(NCM(3), None, 5)
+        with pytest.raises(TypeError):
+            FixQuery(fam, fam.kind)
+        with pytest.raises(AttributeError):
+            query.e = 5
+
+    def test_census_reads_the_period_census_at_call_time(self, monkeypatch):
+        # a tracer rebinds `rotations._period_census`; every census goes
+        # through the module attribute
+        seen = []
+
+        def traced(family):
+            seen.append(family)
+            return ((1, 7),)
+
+        monkeypatch.setattr(rotations, "_period_census", traced)
+        for fam in (ByDegrees((2, 1)), LeafRooted(4, 2), NCM(3)):
+            assert fam.census() == ((1, 7),)
+            assert fix_count_bruteforce(FixQuery(fam, fam.kind, 1)) == 7
+        assert seen == [ByDegrees((2, 1)), ByDegrees((2, 1)), LeafRooted(4, 2),
+                        LeafRooted(4, 2), NCM(3), NCM(3)]
 
     def test_negative_order_is_refused(self):
         # more leaves than corners: 2n - k < 0 internal corners
