@@ -7,7 +7,9 @@ positions, all endpoints shift by +steps mod 2n, and the word is rebuilt.
 The leaf / internal / degree-restricted rotations advance the root corner to
 the next corner of the required degree class and are realized as ordinary
 rotations by the corresponding number of corners.  A node of degree d has
-d corners, so the node degrees alone give the number of eligible corners.
+d corners, so the node degrees alone give the number of eligible corners:
+`rotate` reads those the tree's scan kept and counts them degree by degree
+(`RotationKind.tree_corners`), with no call per node.
 The kinds themselves (`RotationKind`, `ORDINARY`, `LEAF`, `INTERNAL`,
 `degree_kind`) live in `trees`, whose families are rooted by them, and are
 re-exported here.
@@ -27,7 +29,8 @@ census, like every word family's, sums the groups of the census table
 census is the table's; under a restricted kind it is `_group_census`, cached per
 group and kind, which turns each member once, so the leaf-count and degree
 families that share a group share its rotations.  `AllTrees` keeps the
-census that lists, pairs and rotates every member.
+census that lists and pairs every member, and turns those whose period is
+below 2n.
 """
 from __future__ import annotations
 
@@ -45,14 +48,17 @@ class NoEligibleCorner(ValueError):
 
 def rotate(tree: PlaneTree, kind: RotationKind, steps: int) -> PlaneTree:
     """Apply the rotation `steps` times (negative steps invert).  A rotation
-    that gives back the same word returns `tree` itself."""
+    that gives back the same word returns `tree` itself.  A restricted
+    kind reads the node degrees the tree's scan kept, and counts the
+    corners it visits degree by degree (`RotationKind.tree_corners`); only
+    a rotation that moves the root lists them corner by corner."""
     if kind.name != "ordinary":
-        degree = trees.node_degrees(tree.word)
+        degree = tree.node_degrees
         if not (tree.word and kind.eligible(degree[0])):
+            article = "an" if str(kind)[0] in "aeiou" else "a"
             raise NoEligibleCorner(
-                f"root corner of {tree} is not a {kind} corner")
-        # a node of degree d has d corners
-        k = sum(filter(kind.eligible, degree))
+                f"root corner of {tree} is not {article} {kind} corner")
+        k = kind.tree_corners(degree)
         if steps % k == 0:
             return tree
         visits = list(map(kind.eligible, degree))

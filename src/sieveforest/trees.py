@@ -7,15 +7,18 @@ corner is corner 0.  Equality, hashing and ordering are word-based.
 
 The module holds the tour-word kernel that the tree, b-tree and map words
 all share, and through which every member's structure is read: one word
-base (`_TourWord`, checked by `_validate_word` over its class's alphabet),
-one arc matcher (`_pair_offsets`, read as partners by `matching` and as a
-period key by `arc_offsets`), one re-rooting (`_reroot`, behind
-`shift_root` here and every rotation of `maps`), the node readers
-`node_degrees` and `corner_nodes`, and the one walk over b-tree words
-(`_btree_walk`), which groups them by (degree distribution, root degree)
-and gives each its period, confirmed by a literal re-rooting where it is
-below the length: with the words, the word table of every member list;
-without them, past b = 0, the periods of the census table.  The walk
+base (`_TourWord`, checked by `_validate_word` over its class's alphabet;
+a '()' word, tree, matching or partition, by the one scan `_tree_degrees`,
+whose node degrees each `PlaneTree` keeps for `stats` and
+`rotations.rotate`), one arc matcher (`_pair_offsets`, read as partners
+by `matching` and as a period key by `arc_offsets`), one re-rooting
+(`_reroot`, behind `shift_root` here and every rotation of `maps`), the
+node readers `node_degrees` and `corner_nodes`, and the one walk over
+b-tree words (`_btree_walk`), which groups them by (degree distribution,
+root degree) and gives each its period, confirmed by a literal
+re-rooting where it is below the length: with the words, the word table
+of every member list; without them, past b = 0, the periods of the
+census table.  The walk
 carries the distribution as one integer, the sum over the nodes of
 (n + 2) ** degree, exact because no degree count passes n + 1, and writes
 the closing tail of a word only where it is read: where the word is kept
@@ -46,14 +49,16 @@ ordinary group's census is the table's; a restricted group's turns each
 member once and is cached per group and kind (`rotations._group_census`),
 so families that share a group share its rotations.  `AllTrees` alone
 lists its members and pairs each with the period of its word in the table
-(`_paired`).
+(`_paired`); like every other ordinary census it turns only the members
+whose period is below the length.
 
 Every family, tree or map, is one (set, action) pair, ordered and censused
 under its own kind only, and has one census path: `Family.census()` reads
 the one cache, `rotations._period_census`, cached under (family), which
 calls the family's `_census()`.  Every census that rotates members hands
 (member, period) pairs to `period_census`, which scales each period to the
-kind's order and confirms it by one literal rotation.
+kind's order and confirms it by one literal rotation, which the `AllTrees`
+census leaves out at a period equal to the length.
 """
 from __future__ import annotations
 
@@ -144,15 +149,51 @@ class NotFixed(ValueError):
 
 # The letters of a tour word are arc ends of two classes: tree edges ('()'
 # or E/W) and non-tree edges (N/S); a bud ('b') is its own partner.  Each
-# alphabet gives its tree-edge, bud and non-tree-edge letters ("" if none).
-_ALPHABETS = {"()": ("(", ")", "", "", ""), "()b": ("(", ")", "b", "", ""),
-              "EWNS": ("E", "W", "", "N", "S")}
+# alphabet past '()' gives its tree-edge, bud and non-tree-edge letters
+# ("" if none); a '()' word is checked by `_tree_degrees`.
+_ALPHABETS = {"()b": ("(", ")", "b", "", ""), "EWNS": ("E", "W", "", "N", "S")}
+
+
+def _tree_degrees(word: str) -> tuple[int, ...]:
+    """Check a '()' word and give the degree of every node, root first, in
+    order of first arrival (as `node_degrees` does), in one scan: the one
+    check of the '()' alphabet.  It fails as `_validate_word` does, at the
+    first ')' that closes no edge or the first other letter, whichever
+    comes first, else if an edge is left open."""
+    # the root's parent is a node past every node: a ')' at the root moves
+    # there, and a '(' or ')' after it reads past both lists
+    past = len(word) + 1
+    degree = [0]
+    parent = [past]
+    node = 0
+    try:
+        for ch in word:
+            if ch == "(":
+                degree[node] += 1
+                parent.append(node)
+                node = len(degree)
+                degree.append(1)
+            elif ch == ")":
+                node = parent[node]
+            elif node == past:
+                break
+            else:
+                raise ValueError(f"bad symbol {ch!r} in word {word!r}")
+    except IndexError:
+        pass
+    else:
+        if node == 0:
+            return tuple(degree)
+    raise ValueError(f"unbalanced word {word!r}")
 
 
 def _validate_word(word: str, letters: str) -> None:
-    """Raise ValueError unless `word` is a tour word over `letters`, one of
-    the `_ALPHABETS`: both arc classes balanced, and no arc closed before it
-    is opened."""
+    """Raise ValueError unless `word` is a tour word over `letters`, '()' or
+    one of the `_ALPHABETS`: both arc classes balanced, and no arc closed
+    before it is opened."""
+    if letters == "()":
+        _tree_degrees(word)
+        return
     edge_open, edge_close, bud, other_open, other_close = _ALPHABETS[letters]
     edges = others = 0
     for ch in word:
@@ -239,9 +280,9 @@ def _reroot(word: str, steps: int) -> str:
 
 @functools.total_ordering
 class _TourWord(_Value):
-    """A word of the kernel, validated over the class's `letters`, one of
-    the `_ALPHABETS`; compared, hashed and ordered by the word, within one
-    class."""
+    """A word of the kernel, validated over the class's `letters`, '()' or
+    one of the `_ALPHABETS`; compared, hashed and ordered by the word,
+    within one class."""
     word: str = ""
     letters = "()"
 
@@ -266,6 +307,18 @@ class _TourWord(_Value):
 
 
 class PlaneTree(_TourWord):
+    """A rooted plane tree, its word checked by the scan that also reads
+    every node's degree (`_tree_degrees`).  The tree keeps those degrees as
+    `node_degrees`, root first in order of first arrival, for `stats` and
+    `rotations.rotate`; they are not a field, so equality, hashing, order
+    and repr read the word alone."""
+
+    def __init__(self, word: str = ""):
+        degrees = _tree_degrees(word)
+        put = object.__setattr__
+        put(self, "word", word)
+        put(self, "node_degrees", degrees)
+
     @property
     def n(self) -> int:
         """Edge count."""
@@ -283,13 +336,16 @@ def period_census(pairs, order, rotate) -> tuple[tuple[int, int], ...]:
     rotation of order `order` whose eligible corners repeat with each
     member's word: order * P / L, L its length (1 for the empty word).
     `rotate(m, p) == m` confirms each period by one literal rotation, at
-    p = order too, which checks the order against the member's own corners.
+    p = order too, which checks the order against the member's own corners;
+    a `rotate` that needs no rotation there (re-rooting by the whole tour
+    is the identity) may hand `m` back.
     """
     counts: dict[int, int] = {}
     for m, period in pairs:
         size = len(m.word)
         p = order * period // size if size else 1
-        if rotate(m, p) != m:
+        turned = rotate(m, p)
+        if turned is not m and turned != m:
             raise AssertionError(f"{m} is not fixed by its period {p}")
         counts[p] = counts.get(p, 0) + 1
     return tuple(sorted(counts.items()))
@@ -375,13 +431,13 @@ def corner_nodes(word: str) -> list[int]:
     return out
 
 
-def degree_distribution(degree: list[int]) -> tuple[int, ...]:
-    """(n_1, n_2, ...): how many nodes have each degree; () for a bare node."""
-    if degree == [0]:
-        return ()
+def degree_distribution(degree) -> tuple[int, ...]:
+    """(n_1, n_2, ...): how many nodes have each degree, given the node
+    degrees (a list or tuple); () for a bare node."""
     dist = [0] * max(degree)
-    for d in degree:
-        dist[d - 1] += 1
+    if dist:
+        for d in degree:
+            dist[d - 1] += 1
     return tuple(dist)
 
 
@@ -605,11 +661,15 @@ def _admitted(b: int, n: int, admits=None):
 
 
 def stats(tree: PlaneTree) -> TreeStats:
-    degree = node_degrees(tree.word)
-    if len(degree) == 1:
+    """The tree's edges, leaves, degree distribution, root degree and
+    corners, from the node degrees its scan kept: the word is not read
+    again."""
+    degree = tree.node_degrees
+    n = len(degree) - 1
+    if not n:
         return TreeStats(0, 0, (), 0, 0)
     dist = degree_distribution(degree)
-    return TreeStats(tree.n, dist[0], dist, degree[0], 2 * tree.n)
+    return TreeStats(n, dist[0], dist, degree[0], 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -641,22 +701,38 @@ class RotationKind(_Value):
     def __str__(self) -> str:
         return f"degree({self.delta})" if self.name == "degree" else self.name
 
+    def _visited(self) -> tuple[tuple[int, ...], bool]:
+        """The degrees whose corners it visits, as (listed, among): the
+        corners of a node whose degree is among `listed` if `among`, else
+        of a node whose degree is not.  `eligible`, `corners` and
+        `tree_corners` all read this one definition."""
+        if self.name == "leaf":
+            return (1,), True
+        if self.name == "degree":
+            return (self.delta,), True
+        if self.name == "internal":
+            return (0, 1), False
+        if self.name == "ordinary":
+            return (), False
+        raise IncompatibleKind(f"unknown kind {self}")
+
     def eligible(self, node_degree: int) -> bool:
         """Whether the rotation visits the corners of a node of this degree."""
-        if self.name == "leaf":
-            return node_degree == 1
-        if self.name == "internal":
-            return node_degree >= 2
-        if self.name == "degree":
-            return node_degree == self.delta
-        if self.name == "ordinary":
-            return True
-        raise IncompatibleKind(f"unknown kind {self}")
+        listed, among = self._visited()
+        return (node_degree in listed) == among
 
     def corners(self, degrees) -> int:
         """The corners it visits in a tree with degrees[i-1] nodes of
         degree i: a node of degree d has d corners."""
         return sum(d * c for d, c in enumerate(degrees, start=1) if self.eligible(d))
+
+    def tree_corners(self, node_degrees) -> int:
+        """The corners it visits in a tree whose nodes have these degrees,
+        `corners` of their distribution, counted degree by degree with no
+        call per node."""
+        listed, among = self._visited()
+        some = sum([d * node_degrees.count(d) for d in listed])
+        return some if among else sum(node_degrees) - some
 
 
 ORDINARY = RotationKind("ordinary")
@@ -866,13 +942,16 @@ class AllTrees(_PlaneTrees, name="all_trees"):
                 yield t
 
     def _census(self):
-        # listed, paired with the word table and rotated member by member,
-        # not summed over the groups: the benchmark's self-test pins this
-        # path's listing, its `stats` scan and its one census miss.  It
-        # joins the groups when the scan goes (ROADMAP item 1a).
+        # listed and paired with the word table member by member, not
+        # summed over the groups: the benchmark's self-test pins this path's
+        # listing, its `stats` scan and its one census miss.  It joins the
+        # groups when the scan goes (ROADMAP item 1a).  As in every other
+        # ordinary census, only a period below the length is turned:
+        # re-rooting by the whole tour is the identity.
+        size = self.order()
         return period_census(_paired(enumerate_family(self), *_admitted(0, self.n)),
-                             self.order(),
-                             lambda t, p: rotations.rotate(t, ORDINARY, p))
+                             size, lambda t, p: rotations.rotate(t, ORDINARY, p)
+                             if p < size else t)
 
     def fix_closed(self, d: int) -> int:
         return _btree_fix(0, self.n, d)

@@ -538,6 +538,30 @@ def test_restricted_census_turns_each_member_once(monkeypatch, cold_censuses):
     assert len(calls) == len(set(calls)) == family.count() == sum(c for _, c in census)
 
 
+def test_all_trees_census_turns_only_periods_below_the_length(
+        monkeypatch, cold_censuses):
+    """`AllTrees` lists and pairs every member, but turns only those whose
+    period is below 2n, as every other ordinary census does: re-rooting by
+    the whole tour is the identity."""
+    n = 6
+    calls = counted_rotations(monkeypatch)
+    census = rotations._period_census(AllTrees(n))
+    short = [t for t in AllTrees(n).members()
+             if trees.cyclic_period(trees.arc_offsets(t.word)) < 2 * n]
+    assert short and sorted(calls) == sorted(short) and len(set(calls)) == len(calls)
+    assert sum(c for p, c in census if p < 2 * n) == len(short)
+    assert sum(c for _, c in census) == AllTrees(n).count()
+
+
+def test_all_trees_census_confirms_every_period_below_the_length(
+        monkeypatch, cold_censuses):
+    """The turns that remain rest on the literal rotation: one that gives
+    back another tree fails the census."""
+    monkeypatch.setattr(rotations, "rotate", lambda t, kind, steps: PlaneTree())
+    with pytest.raises(AssertionError, match="not fixed"):
+        rotations._period_census(AllTrees(6))
+
+
 def test_degree_census_reuses_the_leaf_count_groups(monkeypatch, cold_censuses):
     """Each (degree distribution, root degree) group is turned once per
     kind: after the `InternalRooted` censuses at n, the `InternalRootedDeg`

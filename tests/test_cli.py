@@ -161,6 +161,13 @@ class TestOrbitBiject:
         code, out, _ = capture(capsys, ["orbit", "--word", "(())"])
         assert code == 0 and out.splitlines() == ["(())", "()()"]
 
+    def test_orbit_from_a_corner_outside_the_kind(self, capsys):
+        for kind, article in (("internal", "an"), ("leaf", "a")):
+            word = "(()())" if kind == "internal" else "((()))()"
+            code, out, err = capture(capsys, ["orbit", "--word", word, "--kind", kind])
+            assert code == 2 and out == ""
+            assert err == f"error: root corner of {word} is not {article} {kind} corner\n"
+
     def test_biject_ncm(self, capsys):
         code, out, _ = capture(capsys, ["biject", "--to", "ncm",
                                         "--word", "(())"])

@@ -63,7 +63,7 @@ class TestRotate:
         behind the root, each inverse step at the nearest one ahead of it;
         a root corner outside the kind has no rotation."""
         kinds = [LEAF, INTERNAL] + [degree_kind(d) for d in range(1, 5)]
-        for n in range(0, 6):
+        for n in range(0, 8):
             for t in enumerate_family(AllTrees(n)):
                 size = len(t.word)
                 deg = trees.node_degrees(t.word)
@@ -83,6 +83,7 @@ class TestRotate:
                                  if kind.eligible(of[at[-s]]))
                         word = shift_root(word, s)
                     assert k == sum(kind.eligible(deg[v]) for v in nodes)
+                    assert k == kind.tree_corners(t.node_degrees)
 
     def test_internal_requires_internal_root(self):
         with pytest.raises(NoEligibleCorner):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,50 @@ class TestBasics:
             PlaneTree("(()")
         with pytest.raises(ValueError):
             PlaneTree(")(")
+
+    def test_one_scan_checks_the_word_and_keeps_its_degrees(self):
+        """The scan that checks a tree's word also reads its node degrees:
+        for every word with n <= 8 they are `node_degrees`', and `stats`,
+        which reads them, gives what the word's own degrees give."""
+        for n in range(9):
+            for word in all_words(n):
+                t = PlaneTree(word)
+                degree = trees.node_degrees(word)
+                assert list(t.node_degrees) == degree, word
+                counted = Counter(degree)
+                dist = tuple(counted[d] for d in range(1, max(degree) + 1))
+                expected = (trees.TreeStats(0, 0, (), 0, 0) if not word else
+                            trees.TreeStats(n, dist[0], dist, degree[0], 2 * n))
+                assert stats(t) == expected, word
+
+    def test_degrees_are_not_a_field(self):
+        t = PlaneTree("(()())")
+        assert t == PlaneTree("(()())") and hash(t) == hash(PlaneTree("(()())"))
+        assert repr(t) == "PlaneTree(word='(()())')"
+        assert t.node_degrees == (1, 3, 1, 1)
+        with pytest.raises(AttributeError):
+            t.node_degrees = (1,)
+
+    @pytest.mark.parametrize("word, message", [
+        ("(()", "unbalanced word '(()'"),
+        (")(", "unbalanced word ')('"),
+        ("(x)", "bad symbol 'x' in word '(x)'"),
+        ("())(x", "unbalanced word '())(x'"),
+        ("(b)", "bad symbol 'b' in word '(b)'"),
+        ("()a", "bad symbol 'a' in word '()a'"),
+    ])
+    def test_malformed_words_fail_at_their_first_error(self, word, message):
+        """Trees and matchings share the one '()' check and its messages:
+        the first error in reading order, a ')' closing no edge before any
+        later letter."""
+        from sieveforest.maps import NonCrossingMatching
+        with pytest.raises(ValueError) as checked:
+            trees._validate_word(word, "()")
+        assert str(checked.value) == message
+        for cls in (PlaneTree, NonCrossingMatching):
+            with pytest.raises(ValueError) as built:
+                cls(word)
+            assert str(built.value) == message, cls
 
     def test_matching(self):
         assert matching("(())") == (3, 2, 1, 0)
