@@ -38,8 +38,11 @@ word table, and the census `Family._census`, the sum of the same groups'
 censuses in `trees._census_table` (bound here as `_btdeg_census_all`), so
 at b = 0 a matching or b-tree census reads the plane trees' word table.
 The tree-rooted map families (`_Decoupled`) list compositions.  Only a
-`TMDeg` census enumerates maps, pairing each with the period of its arc
-offsets; a `TMij` census sums its degree classes' and a `TMn` census its
+`TMDeg` census enumerates maps.  It applies the walk's rule
+(`trees._may_repeat`) to the family's vertex degrees: where their counts
+rule out a period below the word length L, every map has the period L,
+and elsewhere each map is paired with the period of its arc offsets.  A
+`TMij` census sums its degree classes' and a `TMn` census its
 `TMij` parts', each through `family.census()`, the one census cache of
 every family (`rotations._period_census`, cached under (family)), so
 each map is composed and rotated once per process.
@@ -49,6 +52,7 @@ from __future__ import annotations
 import json
 from math import gcd
 
+from . import trees
 from .rotations import FixQuery, fix_count_bruteforce, fix_count_closed
 # the one family-census cache, under the name the benchmark clears and traces
 from .rotations import _period_census as _map_period_census  # noqa: F401
@@ -203,11 +207,18 @@ class _Decoupled(Family):
                 yield compose(bt, m)
 
     def _census(self):
-        """The census by enumeration: each member paired with the period of
-        its arc offsets and given one literal rotation."""
-        return period_census(((m, cyclic_period(arc_offsets(m.word)))
-                              for m in enumerate_maps(self)),
-                             self.order(), self.rotate)
+        """The census by enumeration: each member given one literal
+        rotation at its period.  The period is L, the word length, where the
+        family fixes vertex degrees whose counts rule out a shorter one
+        (`trees._may_repeat`, the walk's rule; a map's vertex degrees count
+        its non-tree half-edges), and rotating by L is the identity; else it
+        is the period of the member's arc offsets."""
+        size, members = self.word_length, enumerate_maps(self)
+        if self.degrees is not None and not trees._may_repeat(list(self.degrees), size):
+            pairs = ((m, size) for m in members)
+        else:
+            pairs = ((m, cyclic_period(arc_offsets(m.word))) for m in members)
+        return period_census(pairs, self.order(), self.rotate)
 
     def rotate(self, member, steps: int):
         return rotate_map(member, steps)

@@ -464,6 +464,10 @@ def _may_repeat(dist: list[int], size: int) -> bool:
     degree.  For a prime q dividing m, and so L, every degree count but
     at most one is then a multiple of q, and that one is 1 mod q.  The
     empty word may: its period, 1, is not its length.
+
+    A tree-rooted map's word is re-rooted as its b-tree word is (the
+    non-tree half-edges are the buds), so the rule covers maps too, read
+    on their vertex degrees: tree degree plus non-tree half-edges.
     """
     if not size:
         return True

@@ -203,6 +203,86 @@ def test_map_census_confirms_every_period(monkeypatch):
         rotations._period_census.cache_clear()
 
 
+def offset_period_map_census(family):
+    """The map census made without the degree rule: every member paired
+    with the period of its arc offsets and turned once by `rotate_map`."""
+    return trees.period_census(
+        ((m, trees.cyclic_period(trees.arc_offsets(m.word))) for m in family.members()),
+        family.order(), maps.rotate_map)
+
+
+def map_degree_families(max_edges):
+    """Every `TMDeg(j, d)` with 1 <= i + j <= max_edges, d a distribution
+    of the tree part's i + 1 vertex degrees, non-tree half-edges included."""
+    return [TMDeg(total - i, d) for total in range(1, max_edges + 1)
+            for i in range(total + 1) for d in trees.degree_solutions(i + 1, 2 * total)]
+
+
+def test_map_degree_census_matches_the_offset_period_census():
+    """Each cold degree census equals the one that reads every map's
+    period off its arc offsets, where the degree counts rule out a period
+    below L (the walk's rule) and where they do not."""
+    families = map_degree_families(5)
+    repeating = [f for f in families
+                 if trees._may_repeat(list(f.degrees), f.word_length)]
+    assert 0 < len(repeating) < len(families)
+    rotations._period_census.cache_clear()
+    try:
+        for family in families:
+            assert family.census() == offset_period_map_census(family), family
+    finally:
+        rotations._period_census.cache_clear()
+
+
+def counted_map_calls(monkeypatch, name, refuse=False):
+    """Patch `maps.<name>` to record the argument of every call, or to
+    raise on any call."""
+    calls = []
+    original = getattr(maps, name)
+
+    def counted(first, *rest):
+        if refuse:
+            raise AssertionError(f"maps.{name} was called")
+        calls.append(first)
+        return original(first, *rest)
+
+    monkeypatch.setattr(maps, name, counted)
+    return calls
+
+
+def test_map_census_reads_no_offsets_where_the_degrees_rule_out_a_period(
+        monkeypatch):
+    """Degree counts (1, 1, 1) at L = 6 allow no period below L, so no
+    map's arc offsets are read, and each map is still turned once."""
+    family = TMDeg(1, (1, 1, 1))
+    assert not trees._may_repeat([1, 1, 1], family.word_length)
+    counted_map_calls(monkeypatch, "arc_offsets", refuse=True)
+    turned = counted_map_calls(monkeypatch, "rotate_map")
+    rotations._period_census.cache_clear()
+    try:
+        census = family.census()
+    finally:
+        rotations._period_census.cache_clear()
+    assert census == ((6, family.count()),)
+    assert sorted(turned) == sorted(family.members()) and len(set(turned)) == len(turned)
+
+
+def test_map_census_reads_offsets_where_the_degrees_allow_a_period(monkeypatch):
+    """Degree counts (2, 0, 2) at L = 8 allow a period below L, and some
+    maps have one (8 are fixed by the rotation power e = 4): every map's
+    arc offsets are read once."""
+    family = TMDeg(1, (2, 0, 2))
+    assert fix_count_bruteforce(FixQuery(family, None, 4)) == 8
+    read = counted_map_calls(monkeypatch, "arc_offsets")
+    rotations._period_census.cache_clear()
+    try:
+        census = family.census()
+    finally:
+        rotations._period_census.cache_clear()
+    assert census == offset_period_map_census(family)
+    assert sorted(read) == sorted(m.word for m in family.members())
+
+
 def test_census_fails_on_a_wrong_period():
     """A pair whose period is not the member's fails the census: (())
     turned by one of its 4 corners is ()(); by two it is itself."""

@@ -279,33 +279,118 @@ def repeats_a_word(patched):
     patched.setattr(trees, "_btree_walk", mutant)
 
 
+def scales_by_the_length(patched):
+    """`period_census` scales each period P by the word length L instead
+    of by the order: p = L * P / L, in every module that binds it."""
+    census = trees.period_census
+
+    def mutant(pairs, order, rotate):
+        pairs = list(pairs)
+        size = len(pairs[0][0].word) if pairs else 0
+        return census(pairs, size or order, rotate)
+
+    for module in package_modules():
+        for attr, value in list(vars(module).items()):
+            if value is census:
+                patched.setattr(module, attr, mutant)
+
+
+def turns_one_corner_too_many(patched):
+    """A restricted rotation that turns at all turns one eligible corner
+    more than asked: the fault sits past the short-cut at a multiple of
+    the tree's count of eligible corners."""
+    rotate = rotations.rotate
+
+    def mutant(tree, kind, steps):
+        degree = tree.node_degrees
+        if (kind.name != "ordinary" and tree.word and kind.eligible(degree[0])
+                and steps % kind.tree_corners(degree)):
+            steps += 1
+        return rotate(tree, kind, steps)
+
+    patched.setattr(rotations, "rotate", mutant)
+
+
 MUTANTS = {"_may_repeat always false": never_repeats,
            "a walk that drops one group": drops_a_group,
-           "a walk that repeats one word": repeats_a_word}
+           "a walk that repeats one word": repeats_a_word,
+           "a period scaled by L instead of by the order": scales_by_the_length,
+           "a restricted rotation that turns one corner too many":
+               turns_one_corner_too_many}
+
+WALK_THEOREMS = ("ord", "btij", "btd", "tmd")
+RESTRICTED_THEOREMS = ("ext", "int", "int_deg", "delta")
+DISAGREE, REFUSED = {"disagree"}, {"refused"}
+# How each mutant is caught, theorem by theorem, on the sweep: "disagree"
+# when `verify` reports a disagreement, "refused" when a census's literal
+# rotation refuses a period.  A theorem missing from a mutant's entry is a
+# surviving pairing.  The two walk mutants touch one group of the walk,
+# the last or the first; the restricted theorems that admit no member of
+# that group let them through (`ext` the dropped group, `int` and
+# `int_deg` the repeated word, which is the path rooted at a leaf).  The
+# period-scaling and corner mutants change only restricted censuses, and
+# the corner one only turns that are not a whole number of rounds, which
+# the literal check alone sees.
+CAUGHT = {
+    "_may_repeat always false": dict.fromkeys(WALK_THEOREMS + RESTRICTED_THEOREMS,
+                                              DISAGREE),
+    "a walk that drops one group": dict.fromkeys(
+        WALK_THEOREMS + ("int", "int_deg", "delta"), DISAGREE),
+    "a walk that repeats one word": dict.fromkeys(WALK_THEOREMS + ("ext", "delta"),
+                                                  DISAGREE),
+    "a period scaled by L instead of by the order": dict.fromkeys(
+        RESTRICTED_THEOREMS, DISAGREE | REFUSED),
+    "a restricted rotation that turns one corner too many": dict.fromkeys(
+        RESTRICTED_THEOREMS, REFUSED),
+}
 
 
 def mutant_sweep():
-    """The small `ord`, `btij` and `btd` instances with b + n <= 5."""
+    """The small `ord`, `btij`, `btd`, `ext`, `int`, `int_deg` and `delta`
+    instances with b + n <= 5, and the `tmd` ones with i + j <= 3."""
     return [inst for inst in small_instances()
-            if inst.theorem in ("ord", "btij", "btd")
-            and inst.family.b + inst.family.n <= 5]
+            if (inst.theorem in ("ord", "btij", "btd") + RESTRICTED_THEOREMS
+                and inst.family.b + inst.family.n <= 5)
+            or (inst.theorem == "tmd" and inst.family.n <= 3)]
+
+
+def outcome(inst):
+    """'agree', 'disagree' (`verify` reports a disagreement) or 'refused'
+    (a census's literal rotation, or its order check, raises)."""
+    try:
+        return "agree" if verify(inst, ALL_EXPONENTS).overall else "disagree"
+    except AssertionError:
+        return "refused"
+
+
+def test_mutant_sweep_holds_families_that_may_repeat():
+    """The sweep's `tmd` families include some whose degree counts allow a
+    period below L, the maps `_may_repeat` reaches."""
+    tmd = [inst.family for inst in mutant_sweep() if inst.theorem == "tmd"]
+    assert len(tmd) == 15
+    assert sum(trees._may_repeat(list(f.degrees), f.word_length) for f in tmd) == 11
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_verify_reports_each_seeded_mutant(mutant, monkeypatch):
     """Every instance of the sweep passes from cold caches; with the mutant
-    in, from cold caches again, `verify` reports a disagreement on some
-    instance of each of the three theorems."""
+    in, from cold caches again, `verify` reports a disagreement, or a
+    census refuses a period, on some instance of each theorem in the
+    mutant's `CAUGHT` entry, and on no instance of any other."""
     sweep = mutant_sweep()
-    assert len(sweep) == 72
+    assert len(sweep) == 144
+    assert {inst.theorem for inst in sweep} == set(WALK_THEOREMS + RESTRICTED_THEOREMS)
     clear_every_cache()
     try:
         assert all(verify(inst, ALL_EXPONENTS).overall for inst in sweep)
         clear_every_cache()
         with monkeypatch.context() as patched:
             MUTANTS[mutant](patched)
-            caught = [(inst.theorem, inst.params) for inst in sweep
-                      if not verify(inst, ALL_EXPONENTS).overall]
+            caught = {}
+            for inst in sweep:
+                how = outcome(inst)
+                if how != "agree":
+                    caught.setdefault(inst.theorem, set()).add(how)
     finally:
         clear_every_cache()
-    assert {theorem for theorem, _ in caught} == {"ord", "btij", "btd"}, mutant
+    assert caught == CAUGHT[mutant], mutant
